@@ -244,7 +244,12 @@ def _split_values(rest: str, expected: int, what: str, ctx: Context, line: int):
 
 
 def parse_problem(text: str, ctx: Context) -> Problem:
-    """Parse a problem file; constants are resolved at working precision."""
+    """Parse a problem file.
+
+    ``start`` and ``root`` values are resolved at working precision here;
+    ``Const`` nodes keep their literal text and are parsed again on every
+    evaluation.
+    """
     var_names: list[str] = []
     var_indices: dict[str, int] = {}
     equations: list[Expr] = []

@@ -45,9 +45,6 @@ class Context:
     def pow10(self, exponent: int):
         return self.mp.mpf(10) ** exponent
 
-    def from_decimal(self, text: str):
-        return scalar_from_decimal(text, self)
-
     def __repr__(self):
         return f"Context(precision={self.precision})"
 
@@ -83,10 +80,6 @@ class MPVector:
     def __iter__(self):
         return iter(self.entries)
 
-    def add(self, other: "MPVector") -> "MPVector":
-        self._check(other)
-        return MPVector(a + b for a, b in zip(self.entries, other.entries))
-
     def sub(self, other: "MPVector") -> "MPVector":
         self._check(other)
         return MPVector(a - b for a, b in zip(self.entries, other.entries))
@@ -120,12 +113,6 @@ class MPMatrix:
         self.rows = len(rows)
         self.cols = ncols
 
-    @classmethod
-    def identity(cls, ctx: Context, n: int) -> "MPMatrix":
-        return cls(
-            tuple(ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n)
-        )
-
     def at(self, r: int, c: int):
         return self.entries[r][c]
 
@@ -135,35 +122,6 @@ class MPMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def mul_vec(self, v: MPVector) -> MPVector:
-        if self.cols != v.dim:
-            raise ShapeMismatchError(f"matrix cols {self.cols} vs vector dim {v.dim}")
-        return MPVector(
-            sum(row[j] * v[j] for j in range(self.cols)) for row in self.entries
-        )
-
-    def mul(self, other: "MPMatrix") -> "MPMatrix":
-        if self.cols != other.rows:
-            raise ShapeMismatchError("inner dimensions differ")
-        return MPMatrix(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-
-    def sub(self, other: "MPMatrix") -> "MPMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError("shape mismatch")
-        return MPMatrix(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-
-    def max_abs(self):
-        return max(abs(e) for row in self.entries for e in row)
 
     def __repr__(self):
         return f"MPMatrix({self.rows}x{self.cols})"

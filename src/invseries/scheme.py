@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 from .errors import SchemeSizeError, ShapeMismatchError
@@ -22,6 +23,7 @@ from .taylor import (
     jet_add,
     jet_constant,
     jet_mul,
+    jet_neg,
     jet_partial,
 )
 
@@ -85,15 +87,14 @@ class SeriesMatrix:
 
 @dataclass(frozen=True)
 class SchemeTerm:
-    """Coefficient tensor of one series order.
+    """Coefficient tensor of one series order, at the expansion point.
 
-    ``tensor`` maps each index tuple (output slot first, then p
-    contraction slots) to a Taylor polynomial; ``value`` holds the
-    constant terms, which are what the update actually contracts.
+    ``value`` maps each index tuple (output slot first, then p contraction
+    slots) to the constant term of that tensor entry; the update contracts
+    nothing else.
     """
 
     p: int
-    tensor: dict = field(repr=False)
     value: dict = field(repr=False)
 
 
@@ -109,19 +110,19 @@ def jacobian_series(problem: Problem, point: MPVector, budget_degree: int) -> Se
     )
 
 
-def _mat_mul(a, b, ctx, nvars, degree):
+def _mat_add(a, b):
+    return [[jet_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _mat_mul(a, b):
     n = len(a)
-    zero = jet_constant(ctx, ctx.zero, nvars, degree)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = jet_add(acc, jet_mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+    return [
+        [
+            reduce(jet_add, (jet_mul(a[i][k], b[k][j]) for k in range(n)))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 def series_matrix_inverse(J: SeriesMatrix) -> SeriesMatrix:
@@ -145,24 +146,12 @@ def series_matrix_inverse(J: SeriesMatrix) -> SeriesMatrix:
     }
     x_parts = [X0]
     for q in range(1, d + 1):
-        acc = None
-        for r in range(1, q + 1):
-            prod_part = _mat_mul(j_parts[r], x_parts[q - r], ctx, nvars, d)
-            if acc is None:
-                acc = prod_part
-            else:
-                acc = [
-                    [jet_add(acc[i][j], prod_part[i][j]) for j in range(n)]
-                    for i in range(n)
-                ]
-        xq = _mat_mul(X0, acc, ctx, nvars, d)
-        x_parts.append([[-xq[i][j] for j in range(n)] for i in range(n)])
-    total = x_parts[0]
-    for part in x_parts[1:]:
-        total = [
-            [jet_add(total[i][j], part[i][j]) for j in range(n)] for i in range(n)
-        ]
-    return SeriesMatrix(total)
+        acc = reduce(
+            _mat_add, (_mat_mul(j_parts[r], x_parts[q - r]) for r in range(1, q + 1))
+        )
+        xq = _mat_mul(X0, acc)
+        x_parts.append([[jet_neg(e) for e in row] for row in xq])
+    return SeriesMatrix(reduce(_mat_add, x_parts))
 
 
 def build_terms(problem: Problem, point: MPVector, spec: SchemeSpec) -> list[SchemeTerm]:
@@ -181,7 +170,7 @@ def build_terms(problem: Problem, point: MPVector, spec: SchemeSpec) -> list[Sch
     m = spec.terms
     X = series_matrix_inverse(jacobian_series(problem, point, m - 1))
     tensor = {(i, j): X.at(i, j) for i in range(n) for j in range(n)}
-    terms = [SchemeTerm(1, tensor, {k: p.value() for k, p in tensor.items()})]
+    terms = [SchemeTerm(1, {k: q.value() for k, q in tensor.items()})]
     for p in range(1, m):
         new_degree = m - p - 1
         xt = {
@@ -193,13 +182,12 @@ def build_terms(problem: Problem, point: MPVector, spec: SchemeSpec) -> list[Sch
         for idx in product(range(n), repeat=p + 1):
             partials = [jet_partial(tensor[idx], s) for s in range(n)]
             for c in range(n):
-                acc = jet_constant(problem.context, problem.context.zero, n, new_degree)
-                for s in range(n):
-                    acc = jet_add(acc, jet_mul(xt[(s, c)], partials[s]))
-                nxt[idx + (c,)] = acc
+                nxt[idx + (c,)] = reduce(
+                    jet_add, (jet_mul(xt[(s, c)], partials[s]) for s in range(n))
+                )
         tensor = nxt
-        terms.append(SchemeTerm(p + 1, tensor, {k: q.value() for k, q in tensor.items()}))
-    assert terms[-1].tensor[(0,) * (m + 1)].max_degree == 0
+        terms.append(SchemeTerm(p + 1, {k: q.value() for k, q in tensor.items()}))
+    assert tensor[(0,) * (m + 1)].max_degree == 0
     return terms
 
 

@@ -1,9 +1,11 @@
 """Fixed-point iteration engine with full per-iteration tracing.
 
 Each step rebuilds the coefficient tensors at the current iterate and
-applies the contraction update; nothing is frozen or reused between
-iterations.  Stopping is decided on the max-norm of the step between
-successive iterates, which is the quantity the trace tables report.
+applies the contraction update.  The only value carried from one step to
+the next is f at the new iterate: it gives that iterate's residual in the
+trace and is the f the following step contracts.  Stopping is decided on
+the max-norm of the step between successive iterates, which is the
+quantity the trace tables report.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from .errors import DomainError, IterationError, SingularMatrixError
 from .expr import Problem
 from .numerics import DEFAULT_PRECISION, MPVector, norm_inf
 from .scheme import SchemeSpec, apply_update, build_terms, evaluate_system
+
+# consecutive step-norm increases (each also above the first step) that
+# declare divergence
+DIVERGENCE_WINDOW = 3
 
 
 class Status(Enum):
@@ -31,7 +37,7 @@ class SolveConfig:
 
     ``tol`` stops the iteration once the step max-norm falls to or below
     it; None selects 10^(-precision+50).  Divergence is declared after
-    ``divergence_window`` consecutive step-norm increases that also exceed
+    ``DIVERGENCE_WINDOW`` consecutive step-norm increases that also exceed
     the first step.
     """
 
@@ -39,15 +45,12 @@ class SolveConfig:
     precision: int = DEFAULT_PRECISION
     max_iters: int = 30
     tol: Optional[str | float] = None
-    divergence_window: int = 3
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.divergence_window < 1:
-            raise ValueError("divergence_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -116,16 +119,8 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     spec = SchemeSpec(config.order)
 
     x = problem.start
-    rows = [
-        TraceRow(
-            0,
-            x,
-            None,
-            None,
-            norm_inf(evaluate_system(problem, x)),
-            _error_vs_root(problem, x),
-        )
-    ]
+    f_x = evaluate_system(problem, x)
+    rows = [TraceRow(0, x, None, None, norm_inf(f_x), _error_vs_root(problem, x))]
     status = Status.MAX_ITERS
     first_step_norm = None
     prev_step_norm = None
@@ -134,9 +129,8 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     for it in range(1, config.max_iters + 1):
         try:
             terms = build_terms(problem, x, spec)
-            f_at = evaluate_system(problem, x)
-            new_x = apply_update(terms, f_at, x)
-            new_residual = norm_inf(evaluate_system(problem, new_x))
+            new_x = apply_update(terms, f_x, x)
+            new_f = evaluate_system(problem, new_x)
         except SingularMatrixError:
             status = Status.SINGULAR_JACOBIAN
             break
@@ -144,10 +138,9 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
             raise IterationError(it, str(exc)) from exc
         step = new_x.sub(x)
         snorm = norm_inf(step)
-        rows.append(
-            TraceRow(it, new_x, step, snorm, new_residual, _error_vs_root(problem, new_x))
-        )
-        x = new_x
+        error = _error_vs_root(problem, new_x)
+        rows.append(TraceRow(it, new_x, step, snorm, norm_inf(new_f), error))
+        x, f_x = new_x, new_f
         if snorm <= tol:
             status = Status.CONVERGED
             break
@@ -157,7 +150,7 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
             increase_run += 1
         else:
             increase_run = 0
-        if increase_run >= config.divergence_window and snorm > first_step_norm:
+        if increase_run >= DIVERGENCE_WINDOW and snorm > first_step_norm:
             status = Status.DIVERGED
             break
         prev_step_norm = snorm

@@ -72,22 +72,6 @@ class TaylorPoly:
         keep = {a: c for a, c in self.coeffs.items() if sum(a) == degree}
         return TaylorPoly(self.ctx, self.nvars, self.max_degree, keep)
 
-    def __add__(self, other):
-        return jet_add(self, other)
-
-    def __sub__(self, other):
-        return jet_sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, TaylorPoly):
-            return jet_mul(self, other)
-        return jet_scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return jet_neg(self)
-
     def __repr__(self):
         return f"TaylorPoly(nvars={self.nvars}, max_degree={self.max_degree})"
 
@@ -140,12 +124,6 @@ def jet_sub(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
 def jet_neg(a: TaylorPoly) -> TaylorPoly:
     return TaylorPoly(
         a.ctx, a.nvars, a.max_degree, {alpha: -c for alpha, c in a.coeffs.items()}
-    )
-
-
-def jet_scale(a: TaylorPoly, s) -> TaylorPoly:
-    return TaylorPoly(
-        a.ctx, a.nvars, a.max_degree, {alpha: c * s for alpha, c in a.coeffs.items()}
     )
 
 
@@ -209,21 +187,13 @@ def jet_pow_int(a: TaylorPoly, exponent: int) -> TaylorPoly:
     return result
 
 
-ELEMENTARY_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "pow_int")
-
-
-def jet_compose_univariate(fn: str, a: TaylorPoly, exponent: int | None = None) -> TaylorPoly:
-    """Jet of ``fn`` applied to ``a``.
+def jet_compose_univariate(fn: str, a: TaylorPoly) -> TaylorPoly:
+    """Jet of ``fn`` (one of exp, log, sqrt, sin, cos) applied to ``a``.
 
     The univariate Taylor coefficients of ``fn`` at the constant term feed a
-    Horner composition with ``a - const``.  ``pow_int`` takes its exponent via
-    the keyword and is evaluated by repeated multiplication instead, which
-    gives the same coefficients wherever the series form is defined.
+    Horner composition with ``a - const``.  Integer powers are not series
+    compositions; they go through :func:`jet_pow_int`.
     """
-    if fn == "pow_int":
-        if exponent is None:
-            raise DomainError("pow_int needs an exponent")
-        return jet_pow_int(a, exponent)
     mp = a.ctx.mp
     c = a.value()
     d = a.max_degree
@@ -297,9 +267,3 @@ def derivative_tensor(a: TaylorPoly, order: int):
         return [nest(depth + 1, prefix + (i,)) for i in range(n)]
 
     return nest(0, ())
-
-
-def max_coeff_diff(a: TaylorPoly, b: TaylorPoly):
-    """Largest coefficient-wise difference; the comparison used in tests."""
-    _check_same_shape(a, b)
-    return max(abs(c - b.coeffs[alpha]) for alpha, c in a.coeffs.items())

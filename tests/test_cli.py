@@ -1,9 +1,19 @@
+import hashlib
 import json
 
 from invseries.cli import main
 
 DIVERGENT = "vars: x\neq: 1/x - 0.5\nstart: 5\n"
 SINGULAR = "vars: x\neq: x^2\nstart: 0\n"
+
+# sha256 of each file `invseries tables --precision 1000` writes; the
+# tables are the paper's deliverable and must stay byte-identical
+TABLE_DIGESTS = {
+    "table_order2.md": "ea461dd3cef434ddda05f4e8036248d495bdb71ccb0e2b1192d7b672aa440040",
+    "table_order3.md": "69bf4677b656faef09c0215ca351aa9ccdbb1ce0be92e8671a1529789cd3ce56",
+    "table_order4.md": "228008294f3d6eff11e0844f9a1a7e9ce3096cdd792297e3bdc7f8f92f2e79a9",
+    "table_order5.md": "d1e6b106aa6b8ee31a70f8cac3ca769e893e62bf379f9e6361384516829334be",
+}
 
 
 def run(capsys, *argv):
@@ -111,6 +121,10 @@ def test_tables_writes_four_files(capsys, tmp_path):
     assert "1.685546875" in (out_dir / "table_order3.md").read_text()
     assert "1.47955322265625" in (out_dir / "table_order4.md").read_text()
     assert "1.358853816986083984375" in (out_dir / "table_order5.md").read_text()
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out_dir.iterdir()
+    }
+    assert digests == TABLE_DIGESTS
 
 
 def test_tables_unwritable_dir(capsys):

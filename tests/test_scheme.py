@@ -35,6 +35,7 @@ from invseries.scheme import (
 )
 from invseries.taylor import (
     TaylorPoly,
+    jet_add,
     jet_compose_univariate,
     jet_constant,
     jet_mul,
@@ -154,7 +155,7 @@ def test_series_inverse_defining_property(data):
         for j in range(n):
             acc = jet_constant(CTX, 0, n, d)
             for k in range(n):
-                acc = acc + jet_mul(J.at(i, k), X.at(k, j))
+                acc = jet_add(acc, jet_mul(J.at(i, k), X.at(k, j)))
             target = 1 if i == j else 0
             assert abs(acc.value() - target) < TOL
             assert all(abs(c) < TOL for a, c in acc.coeffs.items() if sum(a) >= 1)

@@ -1,9 +1,10 @@
 import pytest
 
+from invseries import solver
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.numerics import Context, format_scalar, norm_inf
-from invseries.scheme import SchemeSpec
+from invseries.scheme import SchemeSpec, evaluate_system
 from invseries.solver import SolveConfig, Status, iterate_once, solve
 
 
@@ -12,8 +13,19 @@ def test_config_validation():
         SolveConfig(order=1)
     with pytest.raises(ValueError):
         SolveConfig(order=2, max_iters=0)
-    with pytest.raises(ValueError):
-        SolveConfig(order=2, divergence_window=0)
+
+
+def test_f_evaluated_once_per_iterate(two_var, monkeypatch):
+    calls = []
+
+    def counting(problem, point):
+        calls.append(tuple(point))
+        return evaluate_system(problem, point)
+
+    monkeypatch.setattr(solver, "evaluate_system", counting)
+    trace = solve(two_var, SolveConfig(order=3, precision=1000))
+    assert len(calls) == len(trace.rows)
+    assert calls == [tuple(row.x) for row in trace.rows]
 
 
 def test_precision_mismatch_rejected(two_var):
