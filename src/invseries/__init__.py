@@ -37,7 +37,6 @@ from .numerics import (
     MPVector,
     format_scalar,
     lu_invert,
-    lu_solve,
     norm_inf,
     scalar_from_decimal,
 )
@@ -51,10 +50,9 @@ from .scheme import (
     jacobian_series,
     series_matrix_inverse,
 )
-from .solver import IterationTrace, SolveConfig, Status, TraceRow, iterate_once, solve
+from .solver import IterationTrace, SolveConfig, Status, TraceRow, solve
 from .taylor import (
     TaylorPoly,
-    derivative_tensor,
     jet_add,
     jet_compose_univariate,
     jet_constant,

@@ -23,7 +23,7 @@ from .expr import eval_jet
 from .numerics import MPVector, format_scalar, norm_inf
 from .scheme import SchemeSpec, build_terms, evaluate_system
 from .solver import IterationTrace
-from .taylor import derivative_tensor
+from .taylor import jet_partial
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,11 @@ class OrderEstimate:
 
 def _window(ctx, precision):
     return ctx.pow10(-precision + 100), ctx.mp.mpf("1e-2")
+
+
+def nearest_root(problem, x: MPVector) -> MPVector:
+    """The known root closest to ``x`` in the max-norm."""
+    return min(problem.known_roots, key=lambda r: norm_inf(x.sub(r)))
 
 
 def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEstimate:
@@ -111,8 +116,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
         raise ValueError("error_constant_check needs a known root")
     ctx = problem.context
     k = spec.order
-    final_x = trace.rows[-1].x
-    root = min(problem.known_roots, key=lambda r: norm_inf(final_x.sub(r)))
+    root = nearest_root(problem, trace.rows[-1].x)
     deltas = [norm_inf(row.x.sub(root)) for row in trace.rows]
     lower, upper = _window(ctx, trace.precision)
 
@@ -134,7 +138,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
     # first dropped coefficient: build one extra term at the root
     terms = build_terms(problem, root, SchemeSpec(k + 1))
     a_k = terms[k - 1].value[(0,) * (k + 1)] / math.factorial(k)
-    fprime = derivative_tensor(eval_jet(problem.equations[0], root, 1, ctx), 1)[0]
+    fprime = jet_partial(eval_jet(problem.equations[0], root, 1, ctx), 0).value()
     predicted = abs(a_k * fprime**k)
     return measured, predicted
 

@@ -14,12 +14,13 @@ from .analysis import (
     TABLE_FORMATS,
     estimate_order_known_root,
     estimate_order_successive,
+    nearest_root,
     render_table,
 )
 from .corpus import BUILTIN_NAMES, builtin_problem
 from .errors import InsufficientDataError, InvseriesError
 from .expr import parse_problem
-from .numerics import Context, norm_inf
+from .numerics import Context
 from .solver import SolveConfig, Status, solve
 
 _STATUS_EXIT = {
@@ -30,10 +31,6 @@ _STATUS_EXIT = {
 }
 
 ORDER_CHECK_SLACK = 0.2
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _add_problem_flags(p):
@@ -91,26 +88,20 @@ def _load_problem(args, ctx: Context):
     return parse_problem(Path(args.problem).read_text(encoding="utf-8"), ctx)
 
 
-def _check_order(order: int):
-    if order < 2:
-        raise _UsageError(f"--order must be at least 2, got {order}")
-
-
-def _solve(args, problem):
-    config = SolveConfig(
-        order=args.order,
+def _config(args, order: int) -> SolveConfig:
+    return SolveConfig(
+        order=order,
         precision=args.precision,
         max_iters=args.max_iters,
         tol=args.tol,
     )
-    return solve(problem, config)
 
 
 def cmd_solve(args) -> int:
-    _check_order(args.order)
+    config = _config(args, args.order)
     ctx = Context(args.precision)
     problem = _load_problem(args, ctx)
-    trace = _solve(args, problem)
+    trace = solve(problem, config)
     print(render_table(trace, args.digits, args.format))
     if args.format != "json":
         print(f"status: {trace.status.value}")
@@ -131,39 +122,30 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _nearest_root(problem, trace):
-    final = trace.rows[-1].x
-    return min(problem.known_roots, key=lambda r: norm_inf(final.sub(r)))
-
-
 def cmd_order_check(args) -> int:
     try:
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
     except ValueError:
-        raise _UsageError(f"--orders must be a comma-separated list, got {args.orders!r}")
+        raise ValueError(f"--orders must be a comma-separated list, got {args.orders!r}")
     if not orders:
-        raise _UsageError("--orders lists no orders")
-    for order in orders:
-        _check_order(order)
+        raise ValueError("--orders lists no orders")
+    # every config is validated before anything is printed
+    configs = [_config(args, order) for order in orders]
 
     ctx = Context(args.precision)
     problem = _load_problem(args, ctx)
     print("| order | known_root | successive | verdict |")
     print("|---|---|---|---|")
     all_ok = True
-    for order in orders:
-        config = SolveConfig(
-            order=order,
-            precision=args.precision,
-            max_iters=args.max_iters,
-            tol=args.tol,
-        )
+    for config in configs:
+        order = config.order
         trace = solve(problem, config)
         summaries = []
         cells = []
         if problem.known_roots:
             try:
-                est = estimate_order_known_root(trace, _nearest_root(problem, trace))
+                root = nearest_root(problem, trace.rows[-1].x)
+                est = estimate_order_known_root(trace, root)
                 summaries.append(est.summary)
                 cells.append(f"{est.summary:.3f}")
             except InsufficientDataError:
@@ -201,7 +183,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (_UsageError, InvseriesError, OSError, ValueError) as exc:
+    except (InvseriesError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -246,9 +246,10 @@ def _split_values(rest: str, expected: int, what: str, ctx: Context, line: int):
 def parse_problem(text: str, ctx: Context) -> Problem:
     """Parse a problem file.
 
-    ``start`` and ``root`` values are resolved at working precision here;
-    ``Const`` nodes keep their literal text and are parsed again on every
-    evaluation.
+    ``start`` and ``root`` values are checked and resolved at working
+    precision here.  ``Const`` nodes keep their literal text, which the
+    tokenizer has already matched as a decimal, so each evaluation hands it
+    to ``mpf`` without checking it again.
     """
     var_names: list[str] = []
     var_indices: dict[str, int] = {}
@@ -322,7 +323,7 @@ def eval_scalar(e: Expr, point: MPVector, ctx: Context):
     """Evaluate an expression at a point at working precision."""
     mp = ctx.mp
     if isinstance(e, Const):
-        return scalar_from_decimal(e.text, ctx)
+        return mp.mpf(e.text)
     if isinstance(e, Var):
         return point[e.index]
     if isinstance(e, Neg):
@@ -355,7 +356,7 @@ def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorP
 
     def rec(node) -> TaylorPoly:
         if isinstance(node, Const):
-            return jet_constant(ctx, scalar_from_decimal(node.text, ctx), n, max_degree)
+            return jet_constant(ctx, node.text, n, max_degree)
         if isinstance(node, Var):
             return jet_var(ctx, node.index, point[node.index], n, max_degree)
         if isinstance(node, Neg):

@@ -164,16 +164,6 @@ def _lu_backsolve(lu, perm, b, ctx: Context):
     return x
 
 
-def lu_solve(m: MPMatrix, b: MPVector, ctx: Context) -> MPVector:
-    """Solve m·x = b by LU with partial pivoting."""
-    if not m.is_square:
-        raise ShapeMismatchError("lu_solve needs a square matrix")
-    if m.rows != b.dim:
-        raise ShapeMismatchError("right-hand side dimension mismatch")
-    lu, perm = _lu_factor(m, ctx)
-    return MPVector(_lu_backsolve(lu, perm, list(b), ctx))
-
-
 def lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     """Invert a square matrix; raises SingularMatrixError on tiny pivots.
 

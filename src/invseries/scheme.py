@@ -39,7 +39,7 @@ class SchemeSpec:
 
     def __post_init__(self):
         if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
+            raise ValueError(f"order must be at least 2, got {self.order}")
         if self.order > MAX_ORDER:
             raise SchemeSizeError(
                 f"order {self.order} exceeds the supported maximum {MAX_ORDER}"
@@ -51,7 +51,11 @@ class SchemeSpec:
 
 
 class SeriesMatrix:
-    """Square grid of Taylor polynomials sharing nvars and degree."""
+    """Square grid of Taylor polynomials sharing nvars and degree.
+
+    The entries' shapes are not checked here: the first jet operation that
+    mixes two of them does that.
+    """
 
     __slots__ = ("entries", "n", "degree", "nvars")
 
@@ -61,12 +65,6 @@ class SeriesMatrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise ShapeMismatchError("series matrix must be square")
         first = rows[0][0]
-        for row in rows:
-            for p in row:
-                if p.nvars != first.nvars or p.max_degree != first.max_degree:
-                    raise ShapeMismatchError(
-                        "series matrix entries must share nvars and degree"
-                    )
         self.entries = rows
         self.n = n
         self.degree = first.max_degree

@@ -35,8 +35,10 @@ class Status(Enum):
 class SolveConfig:
     """Loop controls for one solve.
 
-    ``tol`` stops the iteration once the step max-norm falls to or below
-    it; None selects 10^(-precision+50).  Divergence is declared after
+    ``order`` must lie in 2..``MAX_ORDER``.  ``tol`` stops the iteration
+    once the step max-norm falls to or below it; None selects
+    10^-(precision - min(50, precision // 2)), so the default never exceeds
+    10^-(precision // 2).  Divergence is declared after
     ``DIVERGENCE_WINDOW`` consecutive step-norm increases that also exceed
     the first step.
     """
@@ -47,8 +49,7 @@ class SolveConfig:
     tol: Optional[str | float] = None
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
+        SchemeSpec(self.order)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -73,10 +74,6 @@ class IterationTrace:
     def precision(self) -> int:
         return self.problem.context.precision
 
-    @property
-    def final_residual(self):
-        return self.rows[-1].residual_norm
-
     def step_norms(self):
         return [row.step_norm for row in self.rows[1:]]
 
@@ -89,17 +86,12 @@ def _error_vs_root(problem: Problem, x: MPVector):
 
 def resolve_tol(config: SolveConfig, ctx):
     if config.tol is None:
-        return ctx.pow10(-config.precision + 50)
+        guard = min(50, config.precision // 2)
+        return ctx.pow10(-(config.precision - guard))
     tol = ctx.mp.mpf(config.tol)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {config.tol}")
     return tol
-
-
-def iterate_once(problem: Problem, point: MPVector, spec: SchemeSpec) -> MPVector:
-    """One application of the order-k update at a point."""
-    terms = build_terms(problem, point, spec)
-    return apply_update(terms, evaluate_system(problem, point), point)
 
 
 def solve(problem: Problem, config: SolveConfig) -> IterationTrace:

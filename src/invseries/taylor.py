@@ -39,22 +39,20 @@ def multi_indices(nvars: int, max_degree: int):
 class TaylorPoly:
     """Dense truncated Taylor polynomial in ``nvars`` variables.
 
-    Instances are immutable after construction; all operations are pure
-    functions returning fresh polynomials.
+    ``coeffs`` is stored as given.  Its keys are every key of
+    ``multi_indices(nvars, max_degree)``, in that order; every producer in
+    this package builds the full table, so the constructor does not
+    rebuild or re-check it.  Instances are immutable after construction;
+    all operations are pure functions returning fresh polynomials.
     """
 
     __slots__ = ("ctx", "nvars", "max_degree", "coeffs")
 
-    def __init__(self, ctx: Context, nvars: int, max_degree: int, coeffs=None):
+    def __init__(self, ctx: Context, nvars: int, max_degree: int, coeffs: dict):
         self.ctx = ctx
         self.nvars = nvars
         self.max_degree = max_degree
-        table = multi_indices(nvars, max_degree)
-        src = coeffs or {}
-        unknown = set(src) - set(table)
-        if unknown:
-            raise ShapeMismatchError(f"coefficients outside the index table: {unknown}")
-        self.coeffs = {alpha: src.get(alpha, ctx.zero) for alpha in table}
+        self.coeffs = coeffs
 
     def value(self):
         """Constant term: the underlying function value at the expansion point."""
@@ -69,22 +67,30 @@ class TaylorPoly:
         return TaylorPoly(self.ctx, self.nvars, new_degree, keep)
 
     def homogeneous_part(self, degree: int) -> "TaylorPoly":
-        keep = {a: c for a, c in self.coeffs.items() if sum(a) == degree}
+        zero = self.ctx.zero
+        keep = {a: c if sum(a) == degree else zero for a, c in self.coeffs.items()}
         return TaylorPoly(self.ctx, self.nvars, self.max_degree, keep)
 
     def __repr__(self):
         return f"TaylorPoly(nvars={self.nvars}, max_degree={self.max_degree})"
 
 
+def _zeros(ctx: Context, nvars: int, max_degree: int) -> dict:
+    return dict.fromkeys(multi_indices(nvars, max_degree), ctx.zero)
+
+
 def jet_constant(ctx: Context, value, nvars: int, max_degree: int) -> TaylorPoly:
-    return TaylorPoly(ctx, nvars, max_degree, {(0,) * nvars: ctx.mp.mpf(value)})
+    coeffs = _zeros(ctx, nvars, max_degree)
+    coeffs[(0,) * nvars] = ctx.mp.mpf(value)
+    return TaylorPoly(ctx, nvars, max_degree, coeffs)
 
 
 def jet_var(ctx: Context, i: int, base, nvars: int, max_degree: int) -> TaylorPoly:
     """The jet of the coordinate function x_i around the value ``base``."""
     if not 0 <= i < nvars:
         raise ShapeMismatchError(f"variable index {i} out of range for {nvars} vars")
-    coeffs = {(0,) * nvars: ctx.mp.mpf(base)}
+    coeffs = _zeros(ctx, nvars, max_degree)
+    coeffs[(0,) * nvars] = ctx.mp.mpf(base)
     if max_degree >= 1:
         unit = tuple(1 if j == i else 0 for j in range(nvars))
         coeffs[unit] = ctx.one
@@ -131,7 +137,7 @@ def jet_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
     """Truncated convolution: terms above max_degree are discarded."""
     _check_same_shape(a, b)
     d = a.max_degree
-    out = {alpha: a.ctx.zero for alpha in multi_indices(a.nvars, d)}
+    out = _zeros(a.ctx, a.nvars, d)
     bterms = [(ib, sum(ib), cb) for ib, cb in b.coeffs.items() if cb != 0]
     for ia, ca in a.coeffs.items():
         if ca == 0:
@@ -236,34 +242,3 @@ def jet_partial(a: TaylorPoly, i: int) -> TaylorPoly:
         src = tuple(e + 1 if j == i else e for j, e in enumerate(alpha))
         out[alpha] = a.coeffs[src] * (alpha[i] + 1)
     return TaylorPoly(a.ctx, a.nvars, new_d, out)
-
-
-def derivative_tensor(a: TaylorPoly, order: int):
-    """Raw mixed partials of the given order as nested lists.
-
-    Entry (i_1, ..., i_p) is the partial derivative along those variables,
-    recovered from the stored coefficients as coeff(alpha) * alpha!.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if order > a.max_degree:
-        raise ValueError(
-            f"order {order} exceeds the jet degree budget {a.max_degree}"
-        )
-    if order == 0:
-        return a.value()
-    n = a.nvars
-
-    def entry(idx):
-        alpha = [0] * n
-        for i in idx:
-            alpha[i] += 1
-        fact = math.prod(math.factorial(e) for e in alpha)
-        return a.coeffs[tuple(alpha)] * fact
-
-    def nest(depth, prefix):
-        if depth == order:
-            return entry(prefix)
-        return [nest(depth + 1, prefix + (i,)) for i in range(n)]
-
-    return nest(0, ())

@@ -1,4 +1,6 @@
-"""Matrix and jet comparisons that only the tests need."""
+"""Matrix and jet helpers that only the tests need."""
+
+import math
 
 from invseries.errors import ShapeMismatchError
 from invseries.numerics import Context, MPMatrix, MPVector
@@ -40,3 +42,32 @@ def max_coeff_diff(a, b):
     if (a.nvars, a.max_degree) != (b.nvars, b.max_degree):
         raise ShapeMismatchError("jet shape mismatch")
     return max(abs(c - b.coeffs[alpha]) for alpha, c in a.coeffs.items())
+
+
+def derivative_tensor(a, order: int):
+    """Raw mixed partials of the given order as nested lists.
+
+    Entry (i_1, ..., i_p) is the partial derivative along those variables,
+    recovered from the stored coefficients as coeff(alpha) * alpha!.
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if order > a.max_degree:
+        raise ValueError(f"order {order} exceeds the jet degree budget {a.max_degree}")
+    if order == 0:
+        return a.value()
+    n = a.nvars
+
+    def entry(idx):
+        alpha = [0] * n
+        for i in idx:
+            alpha[i] += 1
+        fact = math.prod(math.factorial(e) for e in alpha)
+        return a.coeffs[tuple(alpha)] * fact
+
+    def nest(depth, prefix):
+        if depth == order:
+            return entry(prefix)
+        return [nest(depth + 1, prefix + (i,)) for i in range(n)]
+
+    return nest(0, ())

@@ -160,6 +160,16 @@ def test_order_check_bad_orders_flag(capsys):
     assert code == 1
 
 
+def test_order_check_rejects_unsupported_order_before_output(capsys):
+    code, out, err = run(
+        capsys, "order-check", "--builtin", "incas-2var", "--orders", "2,9",
+        "--precision", "100",
+    )
+    assert code == 1
+    assert out == ""
+    assert "exceeds the supported maximum 8" in err
+
+
 def test_byte_identical_reruns(capsys):
     argv = [
         "solve", "--builtin", "incas-2var", "--order", "4",

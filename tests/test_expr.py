@@ -22,7 +22,8 @@ from invseries.expr import (
     parse_problem,
 )
 from invseries.numerics import Context, MPVector
-from invseries.taylor import derivative_tensor
+
+from helpers import derivative_tensor
 
 CTX = Context(60)
 VARS = {"x1": 0, "x2": 1}

@@ -13,12 +13,11 @@ from invseries.numerics import (
     MPVector,
     format_scalar,
     lu_invert,
-    lu_solve,
     norm_inf,
     scalar_from_decimal,
 )
 
-from helpers import identity, mat_mul, mat_vec, max_abs_diff
+from helpers import identity, mat_mul, max_abs_diff
 
 CTX = Context(60)
 
@@ -155,15 +154,6 @@ def test_lu_invert_residual_well_conditioned(k, data):
     inv = lu_invert(m, ctx)
     residual = max_abs_diff(mat_mul(m, inv), identity(ctx, k))
     assert residual < ctx.pow10(-ctx.precision + 10)
-
-
-def test_lu_solve_matches_invert(ctx1000):
-    mp = ctx1000.mp
-    m = MPMatrix([[mp.mpf(3), mp.mpf(1)], [mp.mpf(1), mp.mpf(2)]])
-    b = MPVector([mp.mpf(5), mp.mpf(5)])
-    x = lu_solve(m, b, ctx1000)
-    x2 = mat_vec(lu_invert(m, ctx1000), b)
-    assert norm_inf(x.sub(x2)) < ctx1000.pow10(-990)
 
 
 def test_norm_inf_examples(ctx1000):

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invseries import solver
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.numerics import Context, format_scalar, norm_inf
-from invseries.scheme import SchemeSpec, evaluate_system
-from invseries.solver import SolveConfig, Status, iterate_once, solve
+from invseries.scheme import SchemeSpec, apply_update, build_terms, evaluate_system
+from invseries.solver import SolveConfig, Status, solve
 
 
 def test_config_validation():
@@ -63,7 +65,7 @@ def test_three_var_converges_to_scaled_root(three_var, ctx1000):
     assert abs(x[1] / x[0] + 3) < ctx1000.pow10(-900)
     assert abs(x[2] / x[0] - 5) < ctx1000.pow10(-900)
     # direct substitution: residual at the final iterate is tiny
-    assert trace.final_residual < ctx1000.pow10(-900)
+    assert trace.rows[-1].residual_norm < ctx1000.pow10(-900)
 
 
 def test_start_at_root_converges_immediately(ctx1000):
@@ -113,6 +115,11 @@ def test_error_vs_root_uses_nearest(two_var):
     # start (4,4): distance 3 to (1,1), 5 to (-1,-1)
     assert row0.error_vs_root == 3
     assert trace.rows[-1].error_vs_root < trace.problem.context.pow10(-900)
+
+
+def iterate_once(problem, point, spec):
+    terms = build_terms(problem, point, spec)
+    return apply_update(terms, evaluate_system(problem, point), point)
 
 
 def test_iterate_once_matches_first_row(two_var):
@@ -184,7 +191,7 @@ def test_mixed_transcendental_two_var(ctx1000):
     p = parse_problem(text, ctx1000)
     trace = solve(p, SolveConfig(order=3, precision=1000))
     assert trace.status is Status.CONVERGED
-    assert trace.final_residual < ctx1000.pow10(-940)
+    assert trace.rows[-1].residual_norm < ctx1000.pow10(-940)
 
 
 def test_domain_error_mid_iteration_carries_index(ctx1000):
@@ -204,3 +211,25 @@ def test_solve_is_bitwise_deterministic(two_var):
     for ra, rb in zip(a.rows, b.rows):
         assert all(x == y for x, y in zip(ra.x, rb.x))
         assert ra.residual_norm == rb.residual_norm
+
+
+def test_default_tol_at_30_digits_converges_for_real():
+    ctx = Context(30)
+    p = builtin_problem("incas-2var", ctx)
+    trace = solve(p, SolveConfig(order=2, precision=30))
+    assert trace.status is Status.CONVERGED
+    assert trace.rows[-1].residual_norm <= ctx.pow10(-15)
+
+
+@given(
+    precision=st.integers(16, 120),
+    name=st.sampled_from(["incas-2var", "scalar-square"]),
+    order=st.integers(2, 5),
+)
+@settings(max_examples=40)
+def test_default_tol_never_exceeds_the_answer(precision, name, order):
+    ctx = Context(precision)
+    p = builtin_problem(name, ctx)
+    trace = solve(p, SolveConfig(order=order, precision=precision))
+    if trace.status is Status.CONVERGED:
+        assert trace.rows[-1].residual_norm <= ctx.pow10(-(precision // 2))

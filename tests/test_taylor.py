@@ -9,14 +9,15 @@ from invseries.errors import (
     DomainError,
     ShapeMismatchError,
 )
-from invseries.numerics import Context
+from invseries.expr import RESERVED_FUNCTIONS, eval_jet, parse_expression
+from invseries.numerics import Context, MPVector
 from invseries.taylor import (
     TaylorPoly,
-    derivative_tensor,
     jet_add,
     jet_compose_univariate,
     jet_constant,
     jet_mul,
+    jet_neg,
     jet_partial,
     jet_pow_int,
     jet_recip,
@@ -25,7 +26,7 @@ from invseries.taylor import (
     multi_indices,
 )
 
-from helpers import max_coeff_diff
+from helpers import derivative_tensor, max_coeff_diff
 
 CTX = Context(60)
 TOL = CTX.pow10(-CTX.precision + 15)
@@ -307,3 +308,32 @@ def test_truncated_and_homogeneous():
     assert h2.coeffs[(2,)] == 1 and h2.coeffs[(0,)] == 0
     with pytest.raises(ShapeMismatchError):
         sq.truncated(5)
+
+
+@given(nvars=st.integers(1, 3), degree=st.integers(0, 3), data=st.data())
+@settings(max_examples=30)
+def test_every_producer_builds_the_full_index_table(nvars, degree, data):
+    # TaylorPoly stores its coefficients as given, so each producer must
+    # hand it every key of the index table, in the table's order
+    a = data.draw(coeffs_strategy(nvars, degree, lo=1))
+    b = data.draw(coeffs_strategy(nvars, degree))
+    i = data.draw(st.integers(0, nvars - 1))
+    e = parse_expression("exp(x) * x^2 - 2 / (x + 3) + sqrt(x)", {"x": 0})
+    point = MPVector([CTX.mp.mpf(2)] * nvars)
+    jets = [
+        jet_constant(CTX, 3, nvars, degree),
+        jet_var(CTX, i, 2, nvars, degree),
+        jet_add(a, b),
+        jet_sub(a, b),
+        jet_neg(a),
+        jet_mul(a, b),
+        jet_recip(a),
+        jet_pow_int(a, 3),
+        *(jet_compose_univariate(fn, a) for fn in RESERVED_FUNCTIONS),
+        jet_partial(a, i),
+        a.truncated(data.draw(st.integers(0, degree))),
+        a.homogeneous_part(data.draw(st.integers(0, degree))),
+        eval_jet(e, point, degree, CTX),
+    ]
+    for j in jets:
+        assert list(j.coeffs) == list(multi_indices(j.nvars, j.max_degree))
