@@ -42,7 +42,6 @@ from .numerics import (
 )
 from .scheme import (
     SchemeSpec,
-    SchemeTerm,
     SeriesMatrix,
     apply_update,
     build_terms,

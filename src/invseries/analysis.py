@@ -108,7 +108,8 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
 
     Measured is e(n+1)/e(n)^k at the last usable iteration.  Predicted is
     |a_k * f'(root)^k| where a_k is the first series coefficient the
-    order-k update drops, taken from the tensors built at the root.
+    order-k update drops: T_k[1, ..., 1] / k!, built at the root along the
+    direction 1.
     """
     if problem.nvars != 1:
         raise ValueError("error_constant_check needs a 1-variable problem")
@@ -136,8 +137,8 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
         raise InsufficientDataError("no usable error pair in the trace")
 
     # first dropped coefficient: build one extra term at the root
-    terms = build_terms(problem, root, SchemeSpec(k + 1))
-    a_k = terms[k - 1].value[(0,) * (k + 1)] / math.factorial(k)
+    terms = build_terms(problem, root, SchemeSpec(k + 1), MPVector([ctx.one]))
+    a_k = terms[k - 1][0] / math.factorial(k)
     fprime = jet_partial(eval_jet(problem.equations[0], root, 1, ctx), 0).value()
     predicted = abs(a_k * fprime**k)
     return measured, predicted

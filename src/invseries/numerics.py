@@ -39,7 +39,7 @@ class Context:
         self.mp = mp
         self.zero = mp.mpf(0)
         self.one = mp.mpf(1)
-        # magnitude below which a pivot or jet constant term is treated as zero
+        # zero threshold: relative to its row for LU pivots, absolute elsewhere
         self.tiny = mp.mpf(10) ** (-precision / 2)
 
     def pow10(self, exponent: int):
@@ -128,19 +128,27 @@ class MPMatrix:
 
 
 def _lu_factor(m: MPMatrix, ctx: Context):
-    """LU with partial pivoting; returns (packed LU rows, permutation)."""
+    """LU with partial pivoting; returns (packed LU rows, permutation).
+
+    A pivot counts as zero at or below ``ctx.tiny`` times the largest entry
+    of its row in ``m``, and is the largest entry among the rows that clear
+    that floor, so scaling an equation moves its floor with it.
+    """
     n = m.rows
     lu = [list(m.row(i)) for i in range(n)]
     perm = list(range(n))
+    floors = [ctx.tiny * max(abs(e) for e in row) for row in lu]
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(lu[r][col]))
-        if abs(lu[pivot_row][col]) < ctx.tiny:
+        sizes = [abs(row[col]) for row in lu]
+        pivot_row = max(range(col, n), key=lambda r: (sizes[r] > floors[r], sizes[r]))
+        if sizes[pivot_row] <= floors[pivot_row]:
             raise SingularMatrixError(
-                f"pivot magnitude below 10^-{ctx.precision // 2} in column {col}"
+                f"column {col} pivot below 10^-{ctx.precision // 2} of its row's scale"
             )
         if pivot_row != col:
             lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
             perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+            floors[col], floors[pivot_row] = floors[pivot_row], floors[col]
         inv_pivot = ctx.one / lu[col][col]
         for r in range(col + 1, n):
             factor = lu[r][col] * inv_pivot

@@ -1,9 +1,10 @@
 """Order-k update construction.
 
-The update of convergence order k keeps m = k-1 coefficient tensors.  The
-first is the inverse Jacobian; each further tensor contracts the inverse
-Jacobian with the x-derivative of the previous one.  Carrying every entry
-as a truncated Taylor polynomial makes those derivatives exact series
+The update of convergence order k adds m = k-1 series terms
+T_p[v, ..., v] / p! along v = -f(x).  T_1 is the inverse Jacobian and
+T_(p+1) contracts it with the x-derivative of T_p; the contraction with v
+is carried inside that recursion, so no tensor is formed.  Carrying every
+entry as a truncated Taylor polynomial makes the derivatives exact series
 differentiation, so no closed-form derivative-of-inverse formulas are
 needed at any order.
 """
@@ -11,9 +12,8 @@ needed at any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 
 from .errors import SchemeSizeError, ShapeMismatchError
 from .expr import Problem, eval_jet, eval_scalar
@@ -83,19 +83,6 @@ class SeriesMatrix:
         return f"SeriesMatrix(n={self.n}, degree={self.degree})"
 
 
-@dataclass(frozen=True)
-class SchemeTerm:
-    """Coefficient tensor of one series order, at the expansion point.
-
-    ``value`` maps each index tuple (output slot first, then p contraction
-    slots) to the constant term of that tensor entry; the update contracts
-    nothing else.
-    """
-
-    p: int
-    value: dict = field(repr=False)
-
-
 def jacobian_series(problem: Problem, point: MPVector, budget_degree: int) -> SeriesMatrix:
     """Entry (j, i) is the jet of the partial of equation j along variable i."""
     if budget_degree < 0:
@@ -112,15 +99,14 @@ def _mat_add(a, b):
     return [[jet_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _dot(a, b):
+    """Sum of the products of two equally long jet sequences, left to right."""
+    return reduce(jet_add, map(jet_mul, a, b))
+
+
 def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [
-            reduce(jet_add, (jet_mul(a[i][k], b[k][j]) for k in range(n)))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def series_matrix_inverse(J: SeriesMatrix) -> SeriesMatrix:
@@ -152,68 +138,39 @@ def series_matrix_inverse(J: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(reduce(_mat_add, x_parts))
 
 
-def build_terms(problem: Problem, point: MPVector, spec: SchemeSpec) -> list[SchemeTerm]:
-    """Coefficient tensors T^(1)..T^(m) at a point, m = spec.terms.
+def build_terms(
+    problem: Problem, point: MPVector, spec: SchemeSpec, direction: MPVector
+) -> list[MPVector]:
+    """Terms U_p = T_p[v, ..., v] for p = 1..m at a point, m = spec.terms.
 
-    T^(1) is the inverse-Jacobian series with degree budget m-1; each
-    recursion step differentiates the previous tensor and contracts with
-    the inverse-Jacobian series, spending one degree of budget, so the
-    last tensor needs only its constant term.
+    v is constant in x, so it commutes with the derivatives: with X the
+    inverse-Jacobian series and w = X·v, U_1 = w and U_(p+1)[i] is the sum
+    over s of w_s · d_s U_p[i].  Each step spends one degree of the budget
+    m-1, so the last term needs only its constant part.
     """
     n = problem.nvars
     if n > MAX_VARS:
         raise SchemeSizeError(f"{n} variables exceed the supported maximum {MAX_VARS}")
-    if point.dim != n:
-        raise ShapeMismatchError("point dimension does not match the problem")
+    if point.dim != n or direction.dim != n:
+        raise ShapeMismatchError("point or direction dimension differs from nvars")
     m = spec.terms
     X = series_matrix_inverse(jacobian_series(problem, point, m - 1))
-    tensor = {(i, j): X.at(i, j) for i in range(n) for j in range(n)}
-    terms = [SchemeTerm(1, {k: q.value() for k, q in tensor.items()})]
+    v = [jet_constant(problem.context, c, n, m - 1) for c in direction]
+    w = [_dot(row, v) for row in X.entries]
+    levels = [w]
     for p in range(1, m):
-        new_degree = m - p - 1
-        xt = {
-            (s, c): X.at(s, c).truncated(new_degree)
-            for s in range(n)
-            for c in range(n)
-        }
-        nxt = {}
-        for idx in product(range(n), repeat=p + 1):
-            partials = [jet_partial(tensor[idx], s) for s in range(n)]
-            for c in range(n):
-                nxt[idx + (c,)] = reduce(
-                    jet_add, (jet_mul(xt[(s, c)], partials[s]) for s in range(n))
-                )
-        tensor = nxt
-        terms.append(SchemeTerm(p + 1, {k: q.value() for k, q in tensor.items()}))
-    assert tensor[(0,) * (m + 1)].max_degree == 0
-    return terms
+        ws = [q.truncated(m - p - 1) for q in w]
+        partials = [[jet_partial(q, s) for s in range(n)] for q in levels[-1]]
+        levels.append([_dot(ws, row) for row in partials])
+    return [MPVector(q.value() for q in level) for level in levels]
 
 
-def apply_update(terms: list[SchemeTerm], f_at_point: MPVector, point: MPVector) -> MPVector:
-    """One fixed-point step: contract each tensor with copies of -f.
-
-    The order-p tensor enters with weight 1/p!; a zero residual therefore
-    leaves the point unchanged.
-    """
-    n = point.dim
-    zero = point[0] - point[0]
-    neg_f = [-v for v in f_at_point]
+def apply_update(terms: list[MPVector], point: MPVector) -> MPVector:
+    """One fixed-point step, x + sum over p of U_p / p!."""
     new_entries = list(point)
-    for term in terms:
-        current = term.value
-        rank = term.p + 1
-        while rank > 1:
-            folded = {}
-            for idx in product(range(n), repeat=rank - 1):
-                acc = zero
-                for j in range(n):
-                    acc += current[idx + (j,)] * neg_f[j]
-                folded[idx] = acc
-            current = folded
-            rank -= 1
-        fact = math.factorial(term.p)
-        for i in range(n):
-            new_entries[i] = new_entries[i] + current[(i,)] / fact
+    for p, term in enumerate(terms, start=1):
+        fact = math.factorial(p)
+        new_entries = [x + u / fact for x, u in zip(new_entries, term)]
     return MPVector(new_entries)
 
 

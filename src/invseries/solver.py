@@ -1,9 +1,9 @@
 """Fixed-point iteration engine with full per-iteration tracing.
 
-Each step rebuilds the coefficient tensors at the current iterate and
-applies the contraction update.  The only value carried from one step to
+Each step builds the series terms at the current iterate along -f there
+and adds them to the iterate.  The only value carried from one step to
 the next is f at the new iterate: it gives that iterate's residual in the
-trace and is the f the following step contracts.  Stopping is decided on
+trace and is the direction of the following step.  Stopping is decided on
 the max-norm of the step between successive iterates, which is the
 quantity the trace tables report.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import mpmath
 
 from .errors import DomainError, IterationError, SingularMatrixError
 from .expr import Problem
@@ -35,8 +37,9 @@ class Status(Enum):
 class SolveConfig:
     """Loop controls for one solve.
 
-    ``order`` must lie in 2..``MAX_ORDER``.  ``tol`` stops the iteration
-    once the step max-norm falls to or below it; None selects
+    ``order`` must lie in 2..``MAX_ORDER``.  ``tol``, a positive number
+    (text is parsed by mpmath, so "1e-900" stays positive), stops the
+    iteration once the step max-norm falls to or below it; None selects
     10^-(precision - min(50, precision // 2)), so the default never exceeds
     10^-(precision // 2).  Divergence is declared after
     ``DIVERGENCE_WINDOW`` consecutive step-norm increases that also exceed
@@ -52,6 +55,8 @@ class SolveConfig:
         SchemeSpec(self.order)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.tol is not None and not mpmath.mpf(self.tol) > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,7 @@ def resolve_tol(config: SolveConfig, ctx):
     if config.tol is None:
         guard = min(50, config.precision // 2)
         return ctx.pow10(-(config.precision - guard))
-    tol = ctx.mp.mpf(config.tol)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {config.tol}")
-    return tol
+    return ctx.mp.mpf(config.tol)
 
 
 def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
@@ -120,8 +122,8 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
 
     for it in range(1, config.max_iters + 1):
         try:
-            terms = build_terms(problem, x, spec)
-            new_x = apply_update(terms, f_x, x)
+            terms = build_terms(problem, x, spec, MPVector(-v for v in f_x))
+            new_x = apply_update(terms, x)
             new_f = evaluate_system(problem, new_x)
         except SingularMatrixError:
             status = Status.SINGULAR_JACOBIAN

@@ -1,9 +1,19 @@
-"""Matrix and jet helpers that only the tests need."""
+"""Matrix, jet and update helpers that only the tests need."""
 
 import math
+from functools import reduce
+from itertools import product
 
 from invseries.errors import ShapeMismatchError
 from invseries.numerics import Context, MPMatrix, MPVector
+from invseries.scheme import (
+    apply_update,
+    build_terms,
+    evaluate_system,
+    jacobian_series,
+    series_matrix_inverse,
+)
+from invseries.taylor import jet_add, jet_mul, jet_partial
 
 
 def identity(ctx: Context, n: int) -> MPMatrix:
@@ -71,3 +81,53 @@ def derivative_tensor(a, order: int):
         return [nest(depth + 1, prefix + (i,)) for i in range(n)]
 
     return nest(0, ())
+
+
+def neg_f(problem, point) -> MPVector:
+    """The direction of the solver's step from ``point``: -f(point)."""
+    return MPVector(-v for v in evaluate_system(problem, point))
+
+
+def update(problem, point, spec) -> MPVector:
+    """One step of the solver's update from ``point``, along -f(point)."""
+    return apply_update(build_terms(problem, point, spec, neg_f(problem, point)), point)
+
+
+def tensor_update(problem, point, spec) -> MPVector:
+    """The same step in the paper's form, as an independent reference.
+
+    Every entry of every tensor is built: T_1 is the inverse-Jacobian
+    series X and T_(p+1)[idx + (c,)] is the sum over s of
+    X[s, c] · d_s T_p[idx].  Each T_p is then contracted with -f one slot
+    at a time and enters with weight 1/p!.
+    """
+    n, m = problem.nvars, spec.terms
+    X = series_matrix_inverse(jacobian_series(problem, point, m - 1))
+    tensor = {(i, j): X.at(i, j) for i in range(n) for j in range(n)}
+    tensors = [tensor]
+    for p in range(1, m):
+        xt = {
+            (s, c): X.at(s, c).truncated(m - p - 1)
+            for s, c in product(range(n), repeat=2)
+        }
+        nxt = {}
+        for idx in product(range(n), repeat=p + 1):
+            partials = [jet_partial(tensor[idx], s) for s in range(n)]
+            for c in range(n):
+                nxt[idx + (c,)] = reduce(
+                    jet_add, (jet_mul(xt[(s, c)], partials[s]) for s in range(n))
+                )
+        tensor = nxt
+        tensors.append(tensor)
+    v = neg_f(problem, point)
+    new = list(point)
+    for p, tensor in enumerate(tensors, start=1):
+        current = {idx: q.value() for idx, q in tensor.items()}
+        for rank in range(p, 0, -1):
+            current = {
+                idx: sum(current[idx + (j,)] * v[j] for j in range(n))
+                for idx in product(range(n), repeat=rank)
+            }
+        for i in range(n):
+            new[i] += current[(i,)] / math.factorial(p)
+    return MPVector(new)

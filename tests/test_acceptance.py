@@ -15,15 +15,11 @@ from invseries.corpus import builtin_problem
 from invseries.errors import SingularMatrixError
 from invseries.expr import parse_problem
 from invseries.numerics import Context, MPVector, format_scalar, norm_inf
-from invseries.scheme import (
-    SchemeSpec,
-    apply_update,
-    build_terms,
-    evaluate_system,
-)
+from invseries.scheme import SchemeSpec, build_terms
 from invseries.solver import SolveConfig, Status, solve
 from invseries.taylor import jet_compose_univariate, jet_var
 
+from helpers import neg_f, update
 from test_scheme import newton_step_by_lu, random_poly_problem
 
 PRECISION = 1000
@@ -61,12 +57,8 @@ def test_criterion_01_first_iterates_digit_exact(ctx, two_var_problem):
         4: "1.47955322265625",
         5: "1.358853816986083984375",
     }
-    start = two_var_problem.start
-    f_start = evaluate_system(two_var_problem, start)
     for order, text in expected.items():
-        new = apply_update(
-            build_terms(two_var_problem, start, SchemeSpec(order)), f_start, start
-        )
+        new = update(two_var_problem, two_var_problem.start, SchemeSpec(order))
         pinned = ctx.mp.mpf(text)  # finite binary fraction, parses exactly
         assert new[0] == pinned and new[1] == pinned, f"order {order}"
     report(1, started, 10, "iteration-1 values for orders 2-5 are digit-exact")
@@ -151,14 +143,14 @@ def test_criterion_06_one_dimensional_oracle(ctx):
     started = time.time()
     problem = builtin_problem("scalar-square", ctx)
     point = MPVector([ctx.mp.mpf(4)])
-    terms = build_terms(problem, point, SchemeSpec(7))
+    terms = build_terms(problem, point, SchemeSpec(7), MPVector([ctx.one]))
     oracle = jet_compose_univariate("sqrt", jet_var(ctx, 0, ctx.mp.mpf(16), 1, 6))
     rel_tol = ctx.pow10(-(PRECISION - 20))
     for p in range(2, 7):
-        a_p = terms[p - 1].value[(0,) * (p + 1)] / math.factorial(p)
+        a_p = terms[p - 1][0] / math.factorial(p)
         expected = oracle.coeffs[(p,)]
         assert abs(a_p - expected) <= abs(expected) * rel_tol, f"a_{p}"
-    a3 = terms[2].value[(0, 0, 0, 0)] / 6
+    a3 = terms[2][0] / 6
     assert a3 == ctx.mp.mpf("6.103515625e-5")
     report(6, started, 10, "a_2..a_6 match the closed-form inverse coefficients")
 
@@ -178,10 +170,14 @@ def test_criterion_08_affine_exactness(ctx):
     started = time.time()
     problem = builtin_problem("affine-3", ctx)
     bound = ctx.pow10(-950)
+    units = [
+        MPVector(ctx.one if i == j else ctx.zero for i in range(3)) for j in range(3)
+    ]
     for k in range(2, 9):
-        terms = build_terms(problem, problem.start, SchemeSpec(k))
-        for term in terms[1:]:
-            assert all(v == 0 for v in term.value.values())
+        for direction in (neg_f(problem, problem.start), *units):
+            terms = build_terms(problem, problem.start, SchemeSpec(k), direction)
+            for term in terms[1:]:
+                assert all(v == 0 for v in term)
         trace = solve(problem, SolveConfig(order=k, precision=PRECISION))
         assert trace.status is Status.CONVERGED
         assert trace.rows[1].residual_norm < bound, f"order {k}"
@@ -198,10 +194,9 @@ def test_criterion_09_newton_cross_check(ctx):
         n = 2 if checked < 50 else 3
         problem, point = random_poly_problem(rng, n, ctx)
         try:
-            terms = build_terms(problem, point, SchemeSpec(2))
+            mine = update(problem, point, SchemeSpec(2))
         except SingularMatrixError:
             continue
-        mine = apply_update(terms, evaluate_system(problem, point), point)
         oracle = newton_step_by_lu(problem, point, ctx)
         scale = max(ctx.one, norm_inf(oracle))
         assert norm_inf(mine.sub(oracle)) < scale * tol_factor

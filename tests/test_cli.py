@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from invseries.cli import main
 
 DIVERGENT = "vars: x\neq: 1/x - 0.5\nstart: 5\n"
@@ -168,6 +170,17 @@ def test_order_check_rejects_unsupported_order_before_output(capsys):
     assert code == 1
     assert out == ""
     assert "exceeds the supported maximum 8" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "abc"])
+def test_order_check_rejects_bad_tol_before_output(capsys, tol):
+    code, out, err = run(
+        capsys, "order-check", "--builtin", "incas-2var", "--orders", "2",
+        "--precision", "100", "--tol", tol,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_byte_identical_reruns(capsys):

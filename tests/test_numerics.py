@@ -123,6 +123,22 @@ def test_lu_invert_singular(ctx1000):
         lu_invert(m, ctx1000)
 
 
+@pytest.mark.parametrize("precision, big", [(100, "1e60"), (1000, "1e510")])
+def test_lu_invert_skips_a_pivot_tiny_for_its_row(precision, big):
+    # column 0 is largest in row 0, but 2 is below tiny * 1e60 there; row 1 pivots
+    ctx = Context(precision)
+    mp = ctx.mp
+    m = MPMatrix([[mp.mpf(2), mp.mpf(big)], [ctx.one, ctx.one]])
+    inv = lu_invert(m, ctx)
+    # adjugate/determinant oracle, checked entry by entry relative to its size
+    det = 2 - mp.mpf(big)
+    expected = [[1 / det, -mp.mpf(big) / det], [-1 / det, 2 / det]]
+    for i in range(2):
+        for j in range(2):
+            tol = abs(expected[i][j]) * ctx.pow10(-precision + 10)
+            assert abs(inv.at(i, j) - expected[i][j]) <= tol
+
+
 def test_lu_invert_needs_square(ctx1000):
     m = MPMatrix([[ctx1000.one, ctx1000.zero]])
     with pytest.raises(ShapeMismatchError):

@@ -9,7 +9,7 @@ def test_public_names_resolve():
         "norm_inf", "format_scalar", "TaylorPoly", "jet_var", "jet_mul",
         "jet_recip", "jet_compose_univariate", "jet_partial",
         "parse_problem", "eval_scalar", "eval_jet", "format_expr", "Problem",
-        "SchemeSpec", "SeriesMatrix", "SchemeTerm", "jacobian_series",
+        "SchemeSpec", "SeriesMatrix", "jacobian_series",
         "series_matrix_inverse", "build_terms", "apply_update",
         "SolveConfig", "IterationTrace", "Status", "solve",
         "OrderEstimate", "estimate_order_known_root", "estimate_order_successive",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invseries.errors import SchemeSizeError, SingularMatrixError
+from invseries.errors import SchemeSizeError, ShapeMismatchError, SingularMatrixError
 from invseries.expr import (
     BinOp,
     Const,
@@ -42,7 +42,7 @@ from invseries.taylor import (
     multi_indices,
 )
 
-from helpers import derivative_tensor, mat_vec
+from helpers import derivative_tensor, mat_vec, neg_f, tensor_update, update
 
 CTX = Context(200)
 TOL = CTX.pow10(-CTX.precision + 15)
@@ -171,39 +171,43 @@ def test_one_var_terms_match_inverse_series_coefficients():
     """
     p = problem_from(SCALAR_SQUARE, CTX)
     k = 7
-    terms = build_terms(p, pt(CTX, 4), SchemeSpec(k))
+    terms = build_terms(p, pt(CTX, 4), SchemeSpec(k), pt(CTX, 1))
     u = jet_var(CTX, 0, CTX.mp.mpf(16), 1, k - 1)
     oracle = jet_compose_univariate("sqrt", u)
     mp = CTX.mp
-    assert terms[0].value[(0, 0)] == mp.mpf("0.125")
-    for term in terms:
-        a_p = term.value[(0,) * (term.p + 1)] / math.factorial(term.p)
-        expected = oracle.coeffs[(term.p,)]
+    assert terms[0][0] == mp.mpf("0.125")
+    for q, term in enumerate(terms, start=1):
+        a_p = term[0] / math.factorial(q)
+        expected = oracle.coeffs[(q,)]
         assert abs(a_p - expected) < abs(expected) * CTX.pow10(-CTX.precision + 20)
     # frozen exact binary values
-    a2 = terms[1].value[(0, 0, 0)] / 2
-    a3 = terms[2].value[(0, 0, 0, 0)] / 6
+    a2 = terms[1][0] / 2
+    a3 = terms[2][0] / 6
     assert a2 == mp.mpf("-1.953125e-3")
     assert a3 == mp.mpf("6.103515625e-5")
 
 
 def test_affine_terms_vanish_beyond_first():
     p = problem_from(AFFINE_3, CTX)
+    units = [
+        MPVector(CTX.one if i == j else CTX.zero for i in range(3)) for j in range(3)
+    ]
     for k in (2, 4, 6):
-        terms = build_terms(p, p.start, SchemeSpec(k))
-        for term in terms[1:]:
-            assert all(v == 0 for v in term.value.values())
+        for direction in (neg_f(p, p.start), *units):
+            terms = build_terms(p, p.start, SchemeSpec(k), direction)
+            for term in terms[1:]:
+                assert all(v == 0 for v in term)
 
 
 def test_first_term_matches_lu_inverse():
     p = problem_from(TWO_VAR, CTX)
     point = pt(CTX, 4, 4)
-    terms = build_terms(p, point, SchemeSpec(2))
     J0 = jacobian_series(p, point, 0).constant_matrix()
     inv = lu_invert(J0, CTX)
-    for i in range(2):
-        for j in range(2):
-            assert abs(terms[0].value[(i, j)] - inv.at(i, j)) < TOL
+    for j, unit in enumerate((pt(CTX, 1, 0), pt(CTX, 0, 1))):
+        column = build_terms(p, point, SchemeSpec(2), unit)[0]
+        for i in range(2):
+            assert abs(column[i] - inv.at(i, j)) < TOL
 
 
 def test_update_examples_first_iteration(ctx1000, two_var):
@@ -214,11 +218,8 @@ def test_update_examples_first_iteration(ctx1000, two_var):
         4: "1.47955322265625",
         5: "1.358853816986083984375",
     }
-    start = two_var.start
-    f_start = evaluate_system(two_var, start)
     for k, text in expected.items():
-        terms = build_terms(two_var, start, SchemeSpec(k))
-        new = apply_update(terms, f_start, start)
+        new = update(two_var, two_var.start, SchemeSpec(k))
         assert new[0] == mp.mpf(text)  # exact binary fraction
         assert new[1] == mp.mpf(text)
 
@@ -226,9 +227,8 @@ def test_update_examples_first_iteration(ctx1000, two_var):
 def test_update_fixed_point():
     p = problem_from(TWO_VAR, CTX)
     point = pt(CTX, 3, 2)
-    terms = build_terms(p, point, SchemeSpec(3))
     zero_f = MPVector([CTX.zero, CTX.zero])
-    unchanged = apply_update(terms, zero_f, point)
+    unchanged = apply_update(build_terms(p, point, SchemeSpec(3), zero_f), point)
     assert unchanged[0] == point[0] and unchanged[1] == point[1]
 
 
@@ -308,14 +308,27 @@ def test_newton_equivalence_random_systems():
         n = 2 if checked % 2 == 0 else 3
         problem, point = random_poly_problem(rng, n, CTX)
         try:
-            terms = build_terms(problem, point, SchemeSpec(2))
+            mine = update(problem, point, SchemeSpec(2))
         except SingularMatrixError:
             continue
-        mine = apply_update(terms, evaluate_system(problem, point), point)
         oracle = newton_step_by_lu(problem, point, CTX)
         scale = max(CTX.one, norm_inf(oracle))
         assert norm_inf(mine.sub(oracle)) < scale * CTX.pow10(-CTX.precision + 15)
         checked += 1
+
+
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([2, 3]), k=st.integers(3, 6))
+@settings(max_examples=15)
+def test_contracted_update_matches_tensor_reference(seed, n, k):
+    """The solver's update equals the paper-form tensor update."""
+    problem, point = random_poly_problem(random.Random(seed), n, CTX)
+    try:
+        ref = tensor_update(problem, point, SchemeSpec(k))
+    except SingularMatrixError:
+        return
+    mine = update(problem, point, SchemeSpec(k))
+    scale = max(CTX.one, norm_inf(ref))
+    assert norm_inf(mine.sub(ref)) <= scale * CTX.pow10(-CTX.precision + 20)
 
 
 def test_permutation_consistency():
@@ -325,16 +338,8 @@ def test_permutation_consistency():
     pa = problem_from(text_a, ctx)
     pb = problem_from(text_b, ctx)
     for k in (2, 3, 4):
-        ua = apply_update(
-            build_terms(pa, pa.start, SchemeSpec(k)),
-            evaluate_system(pa, pa.start),
-            pa.start,
-        )
-        ub = apply_update(
-            build_terms(pb, pb.start, SchemeSpec(k)),
-            evaluate_system(pb, pb.start),
-            pb.start,
-        )
+        ua = update(pa, pa.start, SchemeSpec(k))
+        ub = update(pb, pb.start, SchemeSpec(k))
         assert abs(ua[0] - ub[1]) < TOL and abs(ua[1] - ub[0]) < TOL
 
 
@@ -343,9 +348,7 @@ def test_permutation_consistency():
 def test_symmetric_start_gives_symmetric_update(c, k):
     p = problem_from(TWO_VAR, CTX)
     point = pt(CTX, c, c)
-    new = apply_update(
-        build_terms(p, point, SchemeSpec(k)), evaluate_system(p, point), point
-    )
+    new = update(p, point, SchemeSpec(k))
     assert new[0] == new[1]
 
 
@@ -356,7 +359,13 @@ def test_variable_count_guardrail():
     text = f"vars: {names}\n{eqs}\nstart: {' '.join(['4'] * n)}\n"
     p = problem_from(text, CTX)
     with pytest.raises(SchemeSizeError):
-        build_terms(p, p.start, SchemeSpec(2))
+        update(p, p.start, SchemeSpec(2))
+
+
+def test_direction_dimension_checked():
+    p = problem_from(TWO_VAR, CTX)
+    with pytest.raises(ShapeMismatchError):
+        build_terms(p, p.start, SchemeSpec(3), pt(CTX, 1))
 
 
 def test_one_var_terms_match_log_inverse_coefficients():
@@ -365,14 +374,14 @@ def test_one_var_terms_match_log_inverse_coefficients():
     p = problem_from("vars: x\neq: exp(x) - 1\nstart: 0.5\n", ctx)
     k = 7
     point = pt(ctx, "0.5")
-    terms = build_terms(p, point, SchemeSpec(k))
+    terms = build_terms(p, point, SchemeSpec(k), pt(ctx, 1))
     mp = ctx.mp
     f0 = mp.exp(mp.mpf("0.5")) - 1
     rel_tol = ctx.pow10(-ctx.precision + 20)
-    for term in terms:
-        a_p = term.value[(0,) * (term.p + 1)] / math.factorial(term.p)
-        expected = (-1) ** (term.p - 1) / (term.p * (1 + f0) ** term.p)
-        assert abs(a_p - expected) < abs(expected) * rel_tol, f"p={term.p}"
+    for q, term in enumerate(terms, start=1):
+        a_p = term[0] / math.factorial(q)
+        expected = (-1) ** (q - 1) / (q * (1 + f0) ** q)
+        assert abs(a_p - expected) < abs(expected) * rel_tol, f"p={q}"
 
 
 @given(data=st.data())

@@ -1,13 +1,15 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invseries import solver
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.numerics import Context, format_scalar, norm_inf
-from invseries.scheme import SchemeSpec, apply_update, build_terms, evaluate_system
+from invseries.scheme import SchemeSpec, evaluate_system
 from invseries.solver import SolveConfig, Status, solve
+
+from helpers import update
 
 
 def test_config_validation():
@@ -15,6 +17,10 @@ def test_config_validation():
         SolveConfig(order=1)
     with pytest.raises(ValueError):
         SolveConfig(order=2, max_iters=0)
+    for bad in ("-1", "0", "abc"):
+        with pytest.raises(ValueError):
+            SolveConfig(order=2, tol=bad)
+    SolveConfig(order=2, tol="1e-900")  # below the smallest float, still positive
 
 
 def test_f_evaluated_once_per_iterate(two_var, monkeypatch):
@@ -101,6 +107,45 @@ def test_singular_jacobian_at_start(ctx1000):
     assert len(trace.rows) == 1  # terminated before any update
 
 
+def test_scaled_scalar_equation_is_not_singular(ctx1000):
+    # the pivot 2e-600*x is tiny only in absolute terms
+    p = parse_problem("vars: x\neq: 1e-600*x^2 - 1e-600\nstart: 4\n", ctx1000)
+    trace = solve(p, SolveConfig(order=2, precision=1000))
+    assert trace.status is Status.CONVERGED
+    assert abs(trace.rows[-1].x[0] - 1) < ctx1000.pow10(-900)
+
+
+@given(
+    row=st.sampled_from([0, 1]),
+    exponent=st.integers(-1200, 1200),
+    order=st.integers(2, 3),
+)
+@example(row=0, exponent=-900, order=2)
+@example(row=0, exponent=-1200, order=3)
+@example(row=1, exponent=900, order=2)
+@settings(max_examples=15)
+def test_scaling_an_equation_keeps_the_status(ctx1000, row, exponent, order):
+    eqs = ["x1 - x2", "x1^2 + x2^2 - 2"]
+    config = SolveConfig(order=order, precision=1000)
+    unscaled = solve(builtin_problem("incas-2var", ctx1000), config)
+    eqs[row] = f"1e{exponent}*({eqs[row]})"
+    text = "vars: x1 x2\n" + "".join(f"eq: {e}\n" for e in eqs) + "start: 4 4\n"
+    trace = solve(parse_problem(text, ctx1000), config)
+    assert trace.status is unscaled.status
+
+
+@pytest.mark.parametrize("precision, exponent", [(100, 60), (1000, 510)])
+def test_row_with_one_huge_entry_is_not_singular(precision, exponent):
+    # J = [[2, 10^e], [1, 1]]: row 0's first entry is tiny for its row only
+    ctx = Context(precision)
+    text = f"vars: x1 x2\neq: 2*x1 + 1e{exponent}*x2 - 1\neq: x1 + x2\nstart: 0 0\n"
+    trace = solve(parse_problem(text, ctx), SolveConfig(order=2, precision=precision))
+    assert trace.status is Status.CONVERGED
+    root = 1 / (2 - ctx.pow10(exponent))
+    error = max(abs(trace.rows[-1].x[0] - root), abs(trace.rows[-1].x[1] + root))
+    assert error <= abs(root) * ctx.pow10(-precision + 10)
+
+
 def test_divergence_detected(ctx1000):
     # the basin of 1/x - 0.5 repels from the far side: steps grow without bound
     p = parse_problem("vars: x\neq: 1/x - 0.5\nstart: 5\n", ctx1000)
@@ -117,13 +162,8 @@ def test_error_vs_root_uses_nearest(two_var):
     assert trace.rows[-1].error_vs_root < trace.problem.context.pow10(-900)
 
 
-def iterate_once(problem, point, spec):
-    terms = build_terms(problem, point, spec)
-    return apply_update(terms, evaluate_system(problem, point), point)
-
-
 def test_iterate_once_matches_first_row(two_var):
-    first = iterate_once(two_var, two_var.start, SchemeSpec(5))
+    first = update(two_var, two_var.start, SchemeSpec(5))
     trace = solve(two_var, SolveConfig(order=5, precision=1000))
     assert first[0] == trace.rows[1].x[0]
 
@@ -131,7 +171,7 @@ def test_iterate_once_matches_first_row(two_var):
 def test_iterate_once_idempotent_at_root(ctx1000):
     text = "vars: x1 x2\neq: x1 - x2\neq: x1^2 + x2^2 - 2\nstart: 1 1\n"
     p = parse_problem(text, ctx1000)
-    out = iterate_once(p, p.start, SchemeSpec(4))
+    out = update(p, p.start, SchemeSpec(4))
     assert out[0] == 1 and out[1] == 1
 
 
