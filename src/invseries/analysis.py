@@ -44,6 +44,23 @@ def _window(ctx, precision):
     return ctx.pow10(-precision + 100), ctx.mp.mpf("1e-2")
 
 
+_LOG2 = math.log(2)
+
+
+def _log_ratio(ctx, a, b) -> float:
+    """log(a) / log(b) for positive context floats, as a float.
+
+    Each log is log(mantissa) + exponent·log 2 from ``frexp``, in double
+    precision, so no log is taken at working precision.  Within [1/2, 2)
+    the two parts of a log cancel, so there the quotient is taken at
+    working precision instead.
+    """
+    (ma, ea), (mb, eb) = ctx.mp.frexp(a), ctx.mp.frexp(b)
+    if ea in (0, 1) or eb in (0, 1):
+        return float(ctx.mp.log(a) / ctx.mp.log(b))
+    return (math.log(float(ma)) + ea * _LOG2) / (math.log(float(mb)) + eb * _LOG2)
+
+
 def nearest_root(problem, x: MPVector) -> MPVector:
     """The known root closest to ``x`` in the max-norm."""
     return min(problem.known_roots, key=lambda r: norm_inf(x.sub(r)))
@@ -65,13 +82,12 @@ def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEst
         raise InsufficientDataError(
             f"only {len(anchors)} iterations inside the usable window (need 3)"
         )
-    log = ctx.mp.log
     estimates = []
     for n in anchors:
         # the successor must also sit above the precision floor: iterates
         # that have saturated leave only rounding residue behind
         if n + 1 < len(errors) and errors[n + 1] > lower:
-            estimates.append((n, float(log(errors[n + 1]) / log(errors[n]))))
+            estimates.append((n, _log_ratio(ctx, errors[n + 1], errors[n])))
     if not estimates:
         raise InsufficientDataError("no anchor has a usable successor error")
     summary = statistics.median(p for _, p in estimates)
@@ -85,7 +101,6 @@ def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
     steps = trace.step_norms()
     if len(steps) < 4:
         raise InsufficientDataError(f"only {len(steps)} steps recorded (need 4)")
-    log = ctx.mp.log
     estimates = []
     anchors = []
     for k in range(1, len(steps) - 1):
@@ -94,9 +109,7 @@ def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
             continue
         anchors.append(k + 1)  # step k belongs to iteration k+1
         if s_prev > 0 and s_next > lower and s != s_prev:
-            estimates.append(
-                (k + 1, float(log(s_next / s) / log(s / s_prev)))
-            )
+            estimates.append((k + 1, _log_ratio(ctx, s_next / s, s / s_prev)))
     if not estimates:
         raise InsufficientDataError("no step triple inside the usable window")
     summary = statistics.median(p for _, p in estimates)

@@ -18,7 +18,7 @@ class SingularMatrixError(InvseriesError):
 
 
 class DivisionByZeroJetError(InvseriesError, ZeroDivisionError):
-    """Reciprocal of a jet whose constant term is numerically zero."""
+    """Reciprocal of a jet whose constant term is zero."""
 
 
 class DomainError(InvseriesError, ValueError):

@@ -1,6 +1,10 @@
 """Problem definitions: expression ASTs, a line-oriented file format, and
 evaluation over both scalars and jets.
 
+One jet evaluator, ``eval_jet_at``, takes a jet for each variable: the
+coordinate jets of ``eval_jet`` expand an expression around a point, and
+univariate jets along a curve give its Taylor coefficients on that curve.
+
 File format (UTF-8, ``#`` starts a comment, keys in this order)::
 
     vars: <name> <name> ...
@@ -248,8 +252,8 @@ def parse_problem(text: str, ctx: Context) -> Problem:
 
     ``start`` and ``root`` values are checked and resolved at working
     precision here.  ``Const`` nodes keep their literal text, which the
-    tokenizer has already matched as a decimal, so each evaluation hands it
-    to ``mpf`` without checking it again.
+    tokenizer has already matched as a decimal; evaluation resolves it
+    through ``Context.const``, which parses each text once per context.
     """
     var_names: list[str] = []
     var_indices: dict[str, int] = {}
@@ -321,9 +325,8 @@ def parse_problem(text: str, ctx: Context) -> Problem:
 
 def eval_scalar(e: Expr, point: MPVector, ctx: Context):
     """Evaluate an expression at a point at working precision."""
-    mp = ctx.mp
     if isinstance(e, Const):
-        return mp.mpf(e.text)
+        return ctx.const(e.text)
     if isinstance(e, Var):
         return point[e.index]
     if isinstance(e, Neg):
@@ -337,8 +340,8 @@ def eval_scalar(e: Expr, point: MPVector, ctx: Context):
             return left - right
         if e.op == "*":
             return left * right
-        if abs(right) < ctx.tiny:
-            raise ZeroDivisionError("division by (numerically) zero")
+        if right == 0:
+            raise ZeroDivisionError("division by zero")
         return left / right
     if isinstance(e, Power):
         return eval_scalar(e.base, point, ctx) ** e.exponent
@@ -346,19 +349,23 @@ def eval_scalar(e: Expr, point: MPVector, ctx: Context):
         arg = eval_scalar(e.arg, point, ctx)
         if e.fn in ("log", "sqrt") and arg <= 0:
             raise DomainError(f"{e.fn} of a non-positive value")
-        return getattr(mp, e.fn)(arg)
+        return getattr(ctx.mp, e.fn)(arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorPoly:
-    """Jet of an expression around a point, truncated at max_degree."""
-    n = point.dim
+def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
+    """Jet of an expression whose variable ``i`` is the jet ``seeds[i]``.
+
+    Every seed has the same number of variables and degree, and so does
+    every intermediate jet.
+    """
+    nvars, max_degree = seeds[0].nvars, seeds[0].max_degree
 
     def rec(node) -> TaylorPoly:
         if isinstance(node, Const):
-            return jet_constant(ctx, node.text, n, max_degree)
+            return jet_constant(ctx, ctx.const(node.text), nvars, max_degree)
         if isinstance(node, Var):
-            return jet_var(ctx, node.index, point[node.index], n, max_degree)
+            return seeds[node.index]
         if isinstance(node, Neg):
             return jet_neg(rec(node.arg))
         if isinstance(node, BinOp):
@@ -377,6 +384,13 @@ def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorP
         raise TypeError(f"not an expression node: {node!r}")
 
     return rec(e)
+
+
+def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorPoly:
+    """Jet of an expression around a point, truncated at max_degree."""
+    n = point.dim
+    seeds = [jet_var(ctx, i, x, n, max_degree) for i, x in enumerate(point)]
+    return eval_jet_at(e, seeds, ctx)
 
 
 # --- pretty printing ---------------------------------------------------------

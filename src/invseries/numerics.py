@@ -21,12 +21,21 @@ DEFAULT_PRECISION = 1000
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 
 
+# One mpmath context per precision, shared by every Context of that
+# precision; building one costs about 0.4 ms and 40 KB of cyclic garbage.
+_MP_CONTEXTS: dict[int, MPContext] = {}
+
+
 class Context:
-    """Working precision (decimal digits) plus its private mpmath context.
+    """Working precision (decimal digits) plus its mpmath context.
 
     A Context is created once per solve and threaded through every
-    constructor; there is no ambient global precision state.  Values are
-    immutable after construction and safe to hand between threads.
+    constructor; there is no ambient global precision state.  The mpmath
+    context is shared by every Context of the same precision, which is
+    safe because nothing changes its ``dps`` after creation.  Two Contexts
+    of one precision are still distinct: jets refuse to mix them.  Values
+    are immutable after construction and safe to hand between threads;
+    ``const`` only memoizes.
     """
 
     def __init__(self, precision: int = DEFAULT_PRECISION):
@@ -34,13 +43,25 @@ class Context:
         if precision < 16:
             raise ValueError(f"precision must be >= 16 decimal digits, got {precision}")
         self.precision = precision
-        mp = MPContext()
-        mp.dps = precision
+        mp = _MP_CONTEXTS.get(precision)
+        if mp is None:
+            mp = MPContext()
+            mp.dps = precision
+            # published only once its precision is set
+            mp = _MP_CONTEXTS.setdefault(precision, mp)
         self.mp = mp
         self.zero = mp.mpf(0)
         self.one = mp.mpf(1)
-        # zero threshold: relative to its row for LU pivots, absolute elsewhere
+        # zero threshold of an LU pivot, relative to the pivot's row
         self.tiny = mp.mpf(10) ** (-precision / 2)
+        self._consts = {}
+
+    def const(self, text: str):
+        """The value of a decimal literal the tokenizer matched, parsed once."""
+        value = self._consts.get(text)
+        if value is None:
+            value = self._consts[text] = self.mp.mpf(text)
+        return value
 
     def pow10(self, exponent: int):
         return self.mp.mpf(10) ** exponent

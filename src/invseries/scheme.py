@@ -1,12 +1,16 @@
 """Order-k update construction.
 
 The update of convergence order k adds m = k-1 series terms
-T_p[v, ..., v] / p! along v = -f(x).  T_1 is the inverse Jacobian and
-T_(p+1) contracts it with the x-derivative of T_p; the contraction with v
-is carried inside that recursion, so no tensor is formed.  Carrying every
-entry as a truncated Taylor polynomial makes the derivatives exact series
-differentiation, so no closed-form derivative-of-inverse formulas are
-needed at any order.
+T_p[v, ..., v] / p! along v = -f(x), where T_p is the p-th derivative of
+the local inverse of f.  These terms are p!·x_p for the Taylor
+coefficients x_p of the path x(t) that solves f(x(t)) = f(x) + t·v, so
+they are built from one LU of the Jacobian and one univariate jet sweep
+of f per coefficient; no tensor and no series of the inverse is formed.
+Jet arithmetic makes every coefficient exact series algebra, so no
+closed-form derivative-of-inverse formulas are needed at any order.
+
+``series_matrix_inverse`` gives the paper's inverse-Jacobian series
+itself; the solver does not use it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import add, mul
 
 from .errors import SchemeSizeError, ShapeMismatchError
-from .expr import Problem, eval_jet, eval_scalar
+from .expr import Problem, eval_jet, eval_jet_at, eval_scalar
 from .numerics import MPMatrix, MPVector, lu_invert
 from .taylor import (
     TaylorPoly,
@@ -25,6 +30,7 @@ from .taylor import (
     jet_mul,
     jet_neg,
     jet_partial,
+    multi_indices,
 )
 
 MAX_ORDER = 8
@@ -99,14 +105,9 @@ def _mat_add(a, b):
     return [[jet_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _dot(a, b):
-    """Sum of the products of two equally long jet sequences, left to right."""
-    return reduce(jet_add, map(jet_mul, a, b))
-
-
 def _mat_mul(a, b):
     cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
+    return [[reduce(jet_add, map(jet_mul, row, col)) for col in cols] for row in a]
 
 
 def series_matrix_inverse(J: SeriesMatrix) -> SeriesMatrix:
@@ -138,31 +139,41 @@ def series_matrix_inverse(J: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(reduce(_mat_add, x_parts))
 
 
+def _mat_vec(m: MPMatrix, v) -> list:
+    """m·v, each entry summed left to right from the first product."""
+    return [reduce(add, map(mul, row, v)) for row in m.entries]
+
+
 def build_terms(
     problem: Problem, point: MPVector, spec: SchemeSpec, direction: MPVector
 ) -> list[MPVector]:
-    """Terms U_p = T_p[v, ..., v] for p = 1..m at a point, m = spec.terms.
+    """Terms U_p = T_p[v, ..., v] = p!·x_p for p = 1..m at a point, m = spec.terms.
 
-    v is constant in x, so it commutes with the derivatives: with X the
-    inverse-Jacobian series and w = X·v, U_1 = w and U_(p+1)[i] is the sum
-    over s of w_s · d_s U_p[i].  Each step spends one degree of the budget
-    m-1, so the last term needs only its constant part.
+    x_p is the degree-p Taylor coefficient of the path x(t) from the point
+    with f(x(t)) = f(point) + t·v.  Degree 1 gives J·x_1 = v.  For p >= 2
+    the degree-p coefficient of f(x(t)) vanishes; it is J·x_p + c_p, where
+    c_p is that coefficient of f along the path known so far (x_p left 0),
+    one univariate jet sweep of degree p.  So x_p = -J^-1·c_p, and one LU
+    of J serves every p.
     """
     n = problem.nvars
     if n > MAX_VARS:
         raise SchemeSizeError(f"{n} variables exceed the supported maximum {MAX_VARS}")
     if point.dim != n or direction.dim != n:
         raise ShapeMismatchError("point or direction dimension differs from nvars")
-    m = spec.terms
-    X = series_matrix_inverse(jacobian_series(problem, point, m - 1))
-    v = [jet_constant(problem.context, c, n, m - 1) for c in direction]
-    w = [_dot(row, v) for row in X.entries]
-    levels = [w]
-    for p in range(1, m):
-        ws = [q.truncated(m - p - 1) for q in w]
-        partials = [[jet_partial(q, s) for s in range(n)] for q in levels[-1]]
-        levels.append([_dot(ws, row) for row in partials])
-    return [MPVector(q.value() for q in level) for level in levels]
+    ctx = problem.context
+    X0 = lu_invert(jacobian_series(problem, point, 0).constant_matrix(), ctx)
+    path = [list(point), _mat_vec(X0, direction)]
+    for p in range(2, spec.terms + 1):
+        keys = multi_indices(1, p)
+        seeds = [
+            TaylorPoly(ctx, 1, p, dict(zip(keys, (*xs, ctx.zero)))) for xs in zip(*path)
+        ]
+        c = [eval_jet_at(eq, seeds, ctx).coeffs[(p,)] for eq in problem.equations]
+        path.append([-x for x in _mat_vec(X0, c)])
+    return [
+        MPVector(x * math.factorial(p) for x in xs) for p, xs in enumerate(path[1:], 1)
+    ]
 
 
 def apply_update(terms: list[MPVector], point: MPVector) -> MPVector:

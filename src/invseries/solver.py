@@ -113,7 +113,10 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     spec = SchemeSpec(config.order)
 
     x = problem.start
-    f_x = evaluate_system(problem, x)
+    try:
+        f_x = evaluate_system(problem, x)
+    except (DomainError, ZeroDivisionError) as exc:
+        raise IterationError(0, str(exc)) from exc
     rows = [TraceRow(0, x, None, None, norm_inf(f_x), _error_vs_root(problem, x))]
     status = Status.MAX_ITERS
     first_step_norm = None

@@ -167,8 +167,8 @@ def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
 def jet_recip(a: TaylorPoly) -> TaylorPoly:
     """Multiplicative inverse truncated to max_degree."""
     c = a.value()
-    if abs(c) < a.ctx.tiny:
-        raise DivisionByZeroJetError("jet constant term is numerically zero")
+    if c == 0:
+        raise DivisionByZeroJetError("jet constant term is zero")
     mp = a.ctx.mp
     inv_c = mp.mpf(1) / c
     series = [inv_c]

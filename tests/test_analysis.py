@@ -5,6 +5,7 @@ import json
 import pytest
 
 from invseries.analysis import (
+    _log_ratio,
     error_constant_check,
     estimate_order_known_root,
     estimate_order_successive,
@@ -50,6 +51,18 @@ def test_known_root_on_synthetic_quadratic(scalar_problem, ctx1000):
     assert abs(est.summary - 2) < 1e-10
     for _, p in est.estimates:
         assert abs(p - 2) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [("1e-300", "1e-150"), ("3.7e-1000", "2e-10"), ("1e-2", "1e-900"),
+     ("1.0000001", "0.25"), ("5", "0.9999999999999999999999"), ("0.5", "1.999")],
+)
+def test_log_ratio_matches_working_precision_logs(ctx1000, a, b):
+    mp = ctx1000.mp
+    x, y = mp.mpf(a), mp.mpf(b)
+    expected = float(mp.log(x) / mp.log(y))
+    assert abs(_log_ratio(ctx1000, x, y) - expected) <= 1e-15 * abs(expected)
 
 
 def test_known_root_insufficient_data(scalar_problem, ctx1000):

@@ -84,6 +84,15 @@ def test_singular_exit_code(capsys, tmp_path):
     assert "status: singular-jacobian" in out
 
 
+def test_zero_denominator_at_the_start_exits_1_without_traceback(capsys, tmp_path):
+    f = tmp_path / "pole.prob"
+    f.write_text("vars: x\neq: 1/x - 2\nstart: 0\n")
+    code, out, err = run(capsys, "solve", "--problem", str(f), "--precision", "100")
+    assert code == 1
+    assert out == ""
+    assert err == "error: iteration 0: division by zero\n"
+
+
 def test_divergent_exit_code(capsys, tmp_path):
     f = tmp_path / "divergent.prob"
     f.write_text(DIVERGENT)

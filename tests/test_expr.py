@@ -16,12 +16,14 @@ from invseries.expr import (
     Power,
     Var,
     eval_jet,
+    eval_jet_at,
     eval_scalar,
     format_expr,
     parse_expression,
     parse_problem,
 )
 from invseries.numerics import Context, MPVector
+from invseries.taylor import TaylorPoly, multi_indices
 
 from helpers import derivative_tensor
 
@@ -119,6 +121,37 @@ def test_eval_scalar_division_and_domain():
             eval_scalar(e, pt(0), CTX)
         with pytest.raises(DomainError):
             eval_scalar(e, pt(-2), CTX)
+
+
+def test_eval_scalar_divides_by_a_tiny_denominator():
+    ctx = Context(1000)
+    e = parse_expression("x1 / 1e-600", {"x1": 0})
+    value = eval_scalar(e, MPVector([ctx.mp.mpf(3)]), ctx)
+    assert abs(value / ctx.mp.mpf("3e600") - 1) < ctx.pow10(-990)
+
+
+def test_univariate_seeds_give_directional_coefficients():
+    """Along the line x(t) = a + t·b, the degree-p coefficient of f(x(t)) is
+    the sum over |alpha| = p of coeff(alpha)·b^alpha of f's jet at a."""
+    e = parse_expression(
+        "exp(x1) / (2 + x2) - sqrt(x1 + x2)^3 + log(x1) * sin(x2) - cos(-x1 * x2)",
+        VARS,
+    )
+    a, b, d = pt("0.75", "0.5"), pt("0.25", "-1.5"), 5
+    multi = eval_jet(e, a, d, CTX)
+    keys = multi_indices(1, d)
+    seeds = [
+        TaylorPoly(CTX, 1, d, dict(zip(keys, [ai, bi] + [CTX.zero] * (d - 1))))
+        for ai, bi in zip(a, b)
+    ]
+    line = eval_jet_at(e, seeds, CTX)
+    for p in range(d + 1):
+        expected = sum(
+            c * b[0] ** alpha[0] * b[1] ** alpha[1]
+            for alpha, c in multi.coeffs.items()
+            if sum(alpha) == p
+        )
+        assert abs(line.coeffs[(p,)] - expected) < CTX.pow10(-CTX.precision + 15)
 
 
 def test_eval_jet_matches_scalar_constant_term():

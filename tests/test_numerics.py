@@ -50,6 +50,21 @@ def test_signed_and_exponent_forms_accepted():
         scalar_from_decimal(ok, CTX)
 
 
+def test_contexts_of_one_precision_share_mpmath_but_stay_distinct():
+    a, b = Context(77), Context(77)
+    assert a.mp is b.mp and a.mp.dps == 77
+    assert a is not b
+    assert Context(78).mp is not a.mp
+
+
+def test_const_is_parsed_once_per_context():
+    ctx = Context(60)
+    value = ctx.const("0.1")
+    assert value == ctx.mp.mpf("0.1")
+    assert ctx.const("0.1") is value
+    assert Context(60).const("0.1") is not value
+
+
 def test_precision_floor():
     with pytest.raises(ValueError):
         Context(15)

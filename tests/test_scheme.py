@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invseries import scheme
 from invseries.errors import SchemeSizeError, ShapeMismatchError, SingularMatrixError
 from invseries.expr import (
     BinOp,
@@ -329,6 +330,82 @@ def test_contracted_update_matches_tensor_reference(seed, n, k):
     mine = update(problem, point, SchemeSpec(k))
     scale = max(CTX.one, norm_inf(ref))
     assert norm_inf(mine.sub(ref)) <= scale * CTX.pow10(-CTX.precision + 20)
+
+
+# one template per node kind; every argument of log and sqrt, and every
+# denominator, stays at least 1 for start values in [1/2, 3/2]
+NODE_KIND_TERMS = {
+    "/": "{c}/(x{a} + x{b} + 2)",
+    "^": "{c}*(x{a} - x{b} + 0.5)^3",
+    "exp": "{c}*exp(x{a} - 1)",
+    "log": "{c}*log(x{a} + x{b})",
+    "sqrt": "{c}*sqrt(x{a}*x{b} + 1)",
+    "sin": "{c}*sin(x{a})*x{b}",
+    "cos": "{c}*cos(x{a} - x{b})",
+}
+
+
+@st.composite
+def node_kind_problems(draw):
+    """A system whose equation j is 70·x_j plus terms of the drawn kinds.
+
+    At the start the partials of one term sum to at most 21 in magnitude,
+    so with at most three terms per equation the Jacobian is strictly
+    diagonally dominant, hence nonsingular.
+    """
+    n = draw(st.sampled_from([1, 2, 3]))
+    index = st.integers(1, n)
+    coeff = st.sampled_from(["0.5", "1", "1.5", "(-0.5)", "(-1)", "(-1.5)"])
+    kind = st.sampled_from(sorted(NODE_KIND_TERMS))
+    eqs = []
+    for j in range(1, n + 1):
+        kinds = draw(st.lists(kind, min_size=1, max_size=3))
+        terms = [
+            NODE_KIND_TERMS[kind].format(c=draw(coeff), a=draw(index), b=draw(index))
+            for kind in kinds
+        ]
+        eqs.append(f"70*x{j} + " + " + ".join(terms) + f" - {draw(st.integers(1, 60))}")
+    value = st.sampled_from(["0.5", "0.75", "1", "1.25", "1.5"])
+    start = [draw(value) for _ in range(n)]
+    names = " ".join(f"x{i}" for i in range(1, n + 1))
+    text = f"vars: {names}\n" + "".join(f"eq: {e}\n" for e in eqs)
+    return problem_from(text + f"start: {' '.join(start)}\n", CTX)
+
+
+EVERY_NODE_KIND = (
+    "vars: x1 x2 x3\n"
+    "eq: 70*x1 + 1/(x2 + x3 + 2) + 0.5*(x1 - x2 + 0.5)^3 + exp(x3 - 1) - 3\n"
+    "eq: 70*x2 + log(x1 + x3) + sqrt(x2*x3 + 1) - 1.5\n"
+    "eq: 70*x3 + sin(x1)*x2 + (-1)*cos(x3 - x1) - 2\n"
+    "start: 0.5 1 1.5\n"
+)
+
+
+@given(problem=node_kind_problems(), k=st.integers(2, 6))
+@example(problem=problem_from(EVERY_NODE_KIND, CTX), k=6)
+@settings(max_examples=40)
+def test_path_update_matches_tensor_reference_through_every_node_kind(problem, k):
+    ref = tensor_update(problem, problem.start, SchemeSpec(k))
+    mine = update(problem, problem.start, SchemeSpec(k))
+    scale = max(CTX.one, norm_inf(ref))
+    assert norm_inf(mine.sub(ref)) <= scale * CTX.pow10(-CTX.precision + 20)
+
+
+def test_build_terms_uses_one_lu_and_no_series_inverse(monkeypatch):
+    p = problem_from(TWO_VAR, CTX)
+    calls = []
+
+    def counting_lu(m, ctx):
+        calls.append(m)
+        return lu_invert(m, ctx)
+
+    def forbidden(J):
+        raise AssertionError("series_matrix_inverse on the solve path")
+
+    monkeypatch.setattr(scheme, "lu_invert", counting_lu)
+    monkeypatch.setattr(scheme, "series_matrix_inverse", forbidden)
+    terms = build_terms(p, p.start, SchemeSpec(8), neg_f(p, p.start))
+    assert len(terms) == 7 and len(calls) == 1
 
 
 def test_permutation_consistency():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from invseries import solver
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
+from invseries.errors import IterationError
 from invseries.numerics import Context, format_scalar, norm_inf
 from invseries.scheme import SchemeSpec, evaluate_system
 from invseries.solver import SolveConfig, Status, solve
@@ -113,6 +114,21 @@ def test_scaled_scalar_equation_is_not_singular(ctx1000):
     trace = solve(p, SolveConfig(order=2, precision=1000))
     assert trace.status is Status.CONVERGED
     assert abs(trace.rows[-1].x[0] - 1) < ctx1000.pow10(-900)
+
+
+def test_tiny_denominator_is_not_a_division_by_zero(ctx1000):
+    # 1e-600 is far below 10^-(precision/2) but not zero
+    p = parse_problem("vars: x\neq: x/1e-600 - 2e600\nstart: 1.5\n", ctx1000)
+    trace = solve(p, SolveConfig(order=3, precision=1000))
+    assert trace.status is Status.CONVERGED
+    assert abs(trace.rows[-1].x[0] - 2) < ctx1000.pow10(-990)
+
+
+def test_zero_denominator_at_the_start_is_an_iteration_error(ctx1000):
+    p = parse_problem("vars: x\neq: 1/x - 2\nstart: 0\n", ctx1000)
+    with pytest.raises(IterationError) as info:
+        solve(p, SolveConfig(order=2, precision=1000))
+    assert info.value.iteration == 0
 
 
 @given(

@@ -139,6 +139,13 @@ def test_recip_zero_constant_term():
         jet_recip(h)
 
 
+def test_recip_of_a_tiny_constant_term():
+    # only an exact zero has no reciprocal, however small the working scale
+    ctx = Context(1000)
+    r = jet_recip(jet_constant(ctx, "1e-600", 1, 2))
+    assert abs(r.value() * ctx.mp.mpf("1e-600") - 1) < ctx.pow10(-990)
+
+
 @given(a=polys_2_3, const=st.integers(1, 9))
 @settings(max_examples=40)
 def test_recip_defining_property(a, const):
