@@ -44,21 +44,13 @@ def _window(ctx, precision):
     return ctx.pow10(-precision + 100), ctx.mp.mpf("1e-2")
 
 
-_LOG2 = math.log(2)
-
-
 def _log_ratio(ctx, a, b) -> float:
     """log(a) / log(b) for positive context floats, as a float.
 
-    Each log is log(mantissa) + exponent·log 2 from ``frexp``, in double
-    precision, so no log is taken at working precision.  Within [1/2, 2)
-    the two parts of a log cancel, so there the quotient is taken at
-    working precision instead.
+    Each log is taken to 64 bits; mpmath raises its own working precision
+    where log cancels near 1, so the quotient keeps double accuracy there.
     """
-    (ma, ea), (mb, eb) = ctx.mp.frexp(a), ctx.mp.frexp(b)
-    if ea in (0, 1) or eb in (0, 1):
-        return float(ctx.mp.log(a) / ctx.mp.log(b))
-    return (math.log(float(ma)) + ea * _LOG2) / (math.log(float(mb)) + eb * _LOG2)
+    return float(ctx.mp.ln(a, prec=64) / ctx.mp.ln(b, prec=64))
 
 
 def nearest_root(problem, x: MPVector) -> MPVector:

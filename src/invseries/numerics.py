@@ -30,12 +30,13 @@ class Context:
     """Working precision (decimal digits) plus its mpmath context.
 
     A Context is created once per solve and threaded through every
-    constructor; there is no ambient global precision state.  The mpmath
-    context is shared by every Context of the same precision, which is
-    safe because nothing changes its ``dps`` after creation.  Two Contexts
-    of one precision are still distinct: jets refuse to mix them.  Values
-    are immutable after construction and safe to hand between threads;
-    ``const`` only memoizes.
+    constructor.  ``mp`` is shared by every Context of the same precision,
+    so it must never be mutated: nothing may set its ``dps`` or ``prec``
+    or enter its ``workdps``/``workprec``, since that would change the
+    precision of every live Context of that precision (a test greps
+    ``src/`` for such uses).  Two Contexts of one precision are still
+    distinct: jets refuse to mix them.  Values are immutable after
+    construction and safe to hand between threads; ``const`` only memoizes.
     """
 
     def __init__(self, precision: int = DEFAULT_PRECISION):

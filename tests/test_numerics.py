@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +58,24 @@ def test_contexts_of_one_precision_share_mpmath_but_stay_distinct():
     assert a.mp is b.mp and a.mp.dps == 77
     assert a is not b
     assert Context(78).mp is not a.mp
+
+
+_PRECISION_CHANGE = re.compile(
+    r"\.(dps|prec)\s*[-+*/]?=(?!=)|\.(workdps|workprec|extradps|extraprec)\("
+)
+
+
+def test_no_source_changes_a_shared_precision():
+    # Context.mp is shared by every Context of one precision; the only
+    # precision it ever gets is set before the context is published
+    src = Path(__file__).resolve().parents[1] / "src"
+    changes = [
+        (path.name, line.strip())
+        for path in sorted(src.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if _PRECISION_CHANGE.search(line)
+    ]
+    assert changes == [("numerics.py", "mp.dps = precision")]
 
 
 def test_const_is_parsed_once_per_context():
