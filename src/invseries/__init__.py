@@ -29,7 +29,14 @@ from .errors import (
     SingularMatrixError,
     UnknownVariableError,
 )
-from .expr import Problem, eval_jet, eval_scalar, format_expr, parse_problem
+from .expr import (
+    Problem,
+    eval_gradient,
+    eval_jet,
+    eval_scalar,
+    format_expr,
+    parse_problem,
+)
 from .numerics import (
     DEFAULT_PRECISION,
     Context,
@@ -46,6 +53,7 @@ from .scheme import (
     apply_update,
     build_terms,
     evaluate_system,
+    jacobian,
     jacobian_series,
     series_matrix_inverse,
 )

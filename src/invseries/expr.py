@@ -4,6 +4,9 @@ evaluation over both scalars and jets.
 One jet evaluator, ``eval_jet_at``, takes a jet for each variable: the
 coordinate jets of ``eval_jet`` expand an expression around a point, and
 univariate jets along a curve give its Taylor coefficients on that curve.
+``eval_gradient`` gives the value and first partials at a point by forward
+mode, bit for bit the degree-1 coefficients of ``eval_jet`` at less cost;
+the solver's Jacobian comes from it.
 
 File format (UTF-8, ``#`` starts a comment, keys in this order)::
 
@@ -18,11 +21,13 @@ exponents only), unary minus, ``* /``, ``+ -``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
+    DivisionByZeroJetError,
     DomainError,
     MalformedDecimalError,
     NonSquareSystemError,
@@ -41,6 +46,7 @@ from .taylor import (
     jet_recip,
     jet_sub,
     jet_var,
+    univariate_series,
 )
 
 RESERVED_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
@@ -391,6 +397,84 @@ def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorP
     n = point.dim
     seeds = [jet_var(ctx, i, x, n, max_degree) for i, x in enumerate(point)]
     return eval_jet_at(e, seeds, ctx)
+
+
+def _grad_sum(a, b, op):
+    """a + b or a - b (``op`` from ``operator``); an absent partial is 0."""
+    (a0, ga), (b0, gb) = a, b
+    grad = dict(ga)
+    for i, bi in gb.items():
+        grad[i] = op(grad.get(i, 0), bi)
+    return op(a0, b0), grad
+
+
+def _grad_mul(a, b):
+    # jet_mul's degree-1 sums: a0·b_i first, then a_i·b0
+    (a0, ga), (b0, gb) = a, b
+    grad = {i: a0 * bi for i, bi in gb.items()}
+    for i, ai in ga.items():
+        grad[i] = grad[i] + ai * b0 if i in grad else ai * b0
+    return a0 * b0, grad
+
+
+def _grad_scale(s0, s1, a):
+    """Composition with a function whose series at a's value starts s0 + s1·t."""
+    return s0, {i: s1 * ai for i, ai in a[1].items()}
+
+
+def eval_gradient(e: Expr, point: MPVector, ctx: Context):
+    """Value and first partials of an expression at a point (forward mode).
+
+    Returns ``(value, grad)`` where ``grad`` maps a variable index to its
+    partial; a constant subtree has no entries.  Every operation replays
+    the degree-1 jet arithmetic of ``eval_jet``, so each partial is bit for
+    bit the jet's coefficient: products sum a0·b_i + a_i·b0, a quotient is
+    a·(1/b), ``^`` is ``jet_pow_int``'s binary exponentiation, and
+    elementary functions take s0 and s1 from ``taylor.univariate_series``.
+    Values are the jet's too, so a quotient carries a·(1/b), not a/b.
+    """
+    mp = ctx.mp
+    xs = [mp.mpf(x) for x in point]
+
+    def rec(node):
+        if isinstance(node, Const):
+            return ctx.const(node.text), {}
+        if isinstance(node, Var):
+            return xs[node.index], {node.index: ctx.one}
+        if isinstance(node, Neg):
+            a0, ga = rec(node.arg)
+            return -a0, {i: -ai for i, ai in ga.items()}
+        if isinstance(node, BinOp):
+            left, right = rec(node.left), rec(node.right)
+            if node.op == "+":
+                return _grad_sum(left, right, operator.add)
+            if node.op == "-":
+                return _grad_sum(left, right, operator.sub)
+            if node.op == "*":
+                return _grad_mul(left, right)
+            b0 = right[0]
+            if b0 == 0:
+                raise DivisionByZeroJetError("jet constant term is zero")
+            r = mp.mpf(1) / b0
+            return _grad_mul(left, _grad_scale(r, -r * r, right))
+        if isinstance(node, Power):
+            base = rec(node.base)
+            result = (ctx.one, {})
+            exponent = node.exponent
+            while exponent:
+                if exponent & 1:
+                    result = _grad_mul(result, base)
+                exponent >>= 1
+                if exponent:
+                    base = _grad_mul(base, base)
+            return result
+        if isinstance(node, Call):
+            arg = rec(node.arg)
+            s0, s1 = univariate_series(node.fn, arg[0], 1, mp)
+            return _grad_scale(s0, s1, arg)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return rec(e)
 
 
 # --- pretty printing ---------------------------------------------------------

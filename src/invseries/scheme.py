@@ -6,11 +6,13 @@ the local inverse of f.  These terms are p!·x_p for the Taylor
 coefficients x_p of the path x(t) that solves f(x(t)) = f(x) + t·v, so
 they are built from one LU of the Jacobian and one univariate jet sweep
 of f per coefficient; no tensor and no series of the inverse is formed.
-Jet arithmetic makes every coefficient exact series algebra, so no
+The Jacobian comes from the forward-mode ``eval_gradient``.  Jet
+arithmetic makes every coefficient exact series algebra, so no
 closed-form derivative-of-inverse formulas are needed at any order.
 
-``series_matrix_inverse`` gives the paper's inverse-Jacobian series
-itself; the solver does not use it.
+``jacobian_series`` (multivariate jets) and ``series_matrix_inverse``
+(the paper's inverse-Jacobian series) are the references; the solver
+uses neither.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import reduce
 from operator import add, mul
 
 from .errors import SchemeSizeError, ShapeMismatchError
-from .expr import Problem, eval_jet, eval_jet_at, eval_scalar
+from .expr import Problem, eval_gradient, eval_jet, eval_jet_at, eval_scalar
 from .numerics import MPMatrix, MPVector, lu_invert
 from .taylor import (
     TaylorPoly,
@@ -89,8 +91,25 @@ class SeriesMatrix:
         return f"SeriesMatrix(n={self.n}, degree={self.degree})"
 
 
+def jacobian(problem: Problem, point: MPVector) -> MPMatrix:
+    """Entry (j, i) is the partial of equation j along variable i at a point.
+
+    Built by ``eval_gradient``, it is bit for bit
+    ``jacobian_series(problem, point, 0).constant_matrix()``.
+    """
+    ctx = problem.context
+    rows = []
+    for eq in problem.equations:
+        grad = eval_gradient(eq, point, ctx)[1]
+        rows.append([grad.get(i, ctx.zero) for i in range(problem.nvars)])
+    return MPMatrix(rows)
+
+
 def jacobian_series(problem: Problem, point: MPVector, budget_degree: int) -> SeriesMatrix:
-    """Entry (j, i) is the jet of the partial of equation j along variable i."""
+    """Entry (j, i) is the jet of the partial of equation j along variable i.
+
+    The multivariate-jet reference; the solve path uses ``jacobian``.
+    """
     if budget_degree < 0:
         raise ValueError("budget_degree must be >= 0")
     ctx = problem.context
@@ -162,7 +181,7 @@ def build_terms(
     if point.dim != n or direction.dim != n:
         raise ShapeMismatchError("point or direction dimension differs from nvars")
     ctx = problem.context
-    X0 = lu_invert(jacobian_series(problem, point, 0).constant_matrix(), ctx)
+    X0 = lu_invert(jacobian(problem, point), ctx)
     path = [list(point), _mat_vec(X0, direction)]
     for p in range(2, spec.terms + 1):
         keys = multi_indices(1, p)

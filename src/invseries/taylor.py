@@ -5,7 +5,8 @@ point up to a total degree, using the coefficient convention
 ``coeff(alpha) = (mixed partial of order alpha) / alpha!`` so that
 multiplication is a plain truncated convolution.  Propagating jets through
 an expression yields exact derivatives of any order, which is what feeds
-the scheme builder.
+the scheme builder.  ``univariate_series`` gives the Taylor coefficients
+of each elementary function, shared with the gradient evaluator.
 """
 
 from __future__ import annotations
@@ -193,6 +194,39 @@ def jet_pow_int(a: TaylorPoly, exponent: int) -> TaylorPoly:
     return result
 
 
+def univariate_series(fn: str, c, d: int, mp) -> list:
+    """Taylor coefficients s_0..s_d of ``fn`` (exp, log, sqrt, sin, cos) at ``c``.
+
+    Jet composition and ``expr.eval_gradient`` (which reads s_0 and s_1)
+    both take their coefficients from here, so the two agree bit for bit.
+    The sin/cos cycle is built from one ``mp.sin`` and one ``mp.cos``.
+    """
+    if fn == "exp":
+        ec = mp.exp(c)
+        return [ec / math.factorial(k) for k in range(d + 1)]
+    if fn == "log":
+        if c <= 0:
+            raise DomainError("log of a jet needs a positive constant term")
+        series = [mp.log(c)]
+        for k in range(1, d + 1):
+            series.append((-1) ** (k - 1) / (k * c**k))
+        return series
+    if fn == "sqrt":
+        if c <= 0:
+            raise DomainError("sqrt of a jet needs a positive constant term")
+        series = [mp.sqrt(c)]
+        for k in range(1, d + 1):
+            # ratio of consecutive binomial-series coefficients of c^(1/2)
+            series.append(series[-1] * (mp.mpf(3) / 2 - k) / (k * c))
+        return series
+    if fn in ("sin", "cos"):
+        sin_c, cos_c = mp.sin(c), mp.cos(c)
+        cycle = [sin_c, cos_c, -sin_c, -cos_c]
+        shift = 0 if fn == "sin" else 1  # cos starts one derivative later
+        return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(d + 1)]
+    raise DomainError(f"unsupported elementary function: {fn!r}")
+
+
 def jet_compose_univariate(fn: str, a: TaylorPoly) -> TaylorPoly:
     """Jet of ``fn`` (one of exp, log, sqrt, sin, cos) applied to ``a``.
 
@@ -200,34 +234,7 @@ def jet_compose_univariate(fn: str, a: TaylorPoly) -> TaylorPoly:
     Horner composition with ``a - const``.  Integer powers are not series
     compositions; they go through :func:`jet_pow_int`.
     """
-    mp = a.ctx.mp
-    c = a.value()
-    d = a.max_degree
-    if fn == "exp":
-        ec = mp.exp(c)
-        series = [ec / math.factorial(k) for k in range(d + 1)]
-    elif fn == "log":
-        if c <= 0:
-            raise DomainError("log of a jet needs a positive constant term")
-        series = [mp.log(c)]
-        for k in range(1, d + 1):
-            series.append((-1) ** (k - 1) / (k * c**k))
-    elif fn == "sqrt":
-        if c <= 0:
-            raise DomainError("sqrt of a jet needs a positive constant term")
-        series = [mp.sqrt(c)]
-        for k in range(1, d + 1):
-            # ratio of consecutive binomial-series coefficients of c^(1/2)
-            series.append(series[-1] * (mp.mpf(3) / 2 - k) / (k * c))
-    elif fn == "sin":
-        cycle = [mp.sin(c), mp.cos(c), -mp.sin(c), -mp.cos(c)]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(d + 1)]
-    elif fn == "cos":
-        cycle = [mp.cos(c), -mp.sin(c), -mp.cos(c), mp.sin(c)]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(d + 1)]
-    else:
-        raise DomainError(f"unsupported elementary function: {fn!r}")
-    return _compose_series(series, a)
+    return _compose_series(univariate_series(fn, a.value(), a.max_degree, a.ctx.mp), a)
 
 
 def jet_partial(a: TaylorPoly, i: int) -> TaylorPoly:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invseries.errors import (
+    DivisionByZeroJetError,
     DomainError,
     NonSquareSystemError,
     ParseError,
@@ -15,6 +16,7 @@ from invseries.expr import (
     Neg,
     Power,
     Var,
+    eval_gradient,
     eval_jet,
     eval_jet_at,
     eval_scalar,
@@ -175,6 +177,32 @@ def test_eval_jet_affine_has_no_curvature():
     e = parse_expression("3*x1 - 2*x2 + 5", VARS)
     jet = eval_jet(e, pt(1, 2), 3, CTX)
     assert all(c == 0 for a, c in jet.coeffs.items() if sum(a) >= 2)
+
+
+def test_gradient_has_no_entries_for_constant_subtrees():
+    e = parse_expression("2*3 - exp(1) / 4 + x2^0 + sin(x2)", VARS)
+    value, grad = eval_gradient(e, pt("0.5", "0.25"), CTX)
+    assert list(grad) == [1]
+    assert grad[1] == CTX.mp.cos(CTX.mp.mpf("0.25"))
+    assert eval_gradient(parse_expression("1.5 * 4", VARS), pt(1, 2), CTX) == (6, {})
+
+
+def test_gradient_carries_the_jet_quotient_value():
+    """A quotient is a·(1/b) as in the jet, not eval_scalar's a/b."""
+    e = parse_expression("x1 / x2", VARS)
+    point = pt(1, 3)
+    value, grad = eval_gradient(e, point, CTX)
+    r = CTX.one / 3
+    assert value == 1 * r and value == eval_jet(e, point, 1, CTX).value()
+    assert grad == {0: r, 1: 1 * (-r * r * 1)}
+
+
+def test_gradient_refuses_what_the_jet_refuses():
+    with pytest.raises(DivisionByZeroJetError):
+        eval_gradient(parse_expression("x1 / (x2 - 2)", VARS), pt(1, 2), CTX)
+    for text in ("log(x1 - 1)", "sqrt(x1 - 1)"):
+        with pytest.raises(DomainError):
+            eval_gradient(parse_expression(text, VARS), pt(1, 2), CTX)
 
 
 def test_eval_jet_constant_expression():

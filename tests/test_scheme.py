@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invseries import scheme
+from invseries.corpus import BUILTIN_NAMES, builtin_problem
 from invseries.errors import SchemeSizeError, ShapeMismatchError, SingularMatrixError
 from invseries.expr import (
     BinOp,
@@ -13,6 +14,8 @@ from invseries.expr import (
     Power,
     Problem,
     Var,
+    eval_gradient,
+    eval_jet,
     eval_scalar,
     parse_expression,
     parse_problem,
@@ -391,6 +394,53 @@ def test_path_update_matches_tensor_reference_through_every_node_kind(problem, k
     assert norm_inf(mine.sub(ref)) <= scale * CTX.pow10(-CTX.precision + 20)
 
 
+# quotients whose values feed products: the gradient must carry a·(1/b)
+QUOTIENT_FACTORS = (
+    "vars: x1 x2\n"
+    "eq: 70*x1 + x2/(x1 + 3) * x2 - 1\n"
+    "eq: 70*x2 + exp(x1/3) * x1 - (1.5/x2)^2\n"
+    "start: 0.7 1.3\n"
+)
+
+
+@st.composite
+def jacobian_cases(draw):
+    """A builtin or a node-kind system at a point with full-length mantissas."""
+    source = draw(st.sampled_from(["builtin", "node kinds", "quotient factors"]))
+    # node-kind and quotient terms stay in their domains on [1/2, 3/2]
+    low, width = CTX.mp.mpf("0.5"), 1
+    if source == "builtin":
+        problem = builtin_problem(draw(st.sampled_from(BUILTIN_NAMES)), CTX)
+        low, width = -5, 10
+    elif source == "node kinds":
+        problem = draw(node_kind_problems())
+    else:
+        problem = problem_from(QUOTIENT_FACTORS, CTX)
+    fractions = st.integers(0, 999_999)
+    point = MPVector(
+        low + width * (CTX.mp.mpf(draw(fractions)) / 999_999) for _ in range(problem.nvars)
+    )
+    return problem, point
+
+
+def _bits(values):
+    return [v._mpf_ for v in values]
+
+
+@given(case=jacobian_cases())
+@example(case=(problem_from(EVERY_NODE_KIND, CTX), pt(CTX, "0.5", 1, "1.5")))
+@example(case=(problem_from(QUOTIENT_FACTORS, CTX), pt(CTX, "0.9", "1.3")))
+@settings(max_examples=60)
+def test_jacobian_is_bitwise_the_jet_jacobian(case):
+    problem, point = case
+    reference = jacobian_series(problem, point, 0).constant_matrix()
+    mine = scheme.jacobian(problem, point)
+    assert [_bits(row) for row in mine.entries] == [_bits(row) for row in reference.entries]
+    for eq in problem.equations:
+        value = eval_gradient(eq, point, CTX)[0]
+        assert value._mpf_ == eval_jet(eq, point, 1, CTX).value()._mpf_
+
+
 def test_build_terms_uses_one_lu_and_no_series_inverse(monkeypatch):
     p = problem_from(TWO_VAR, CTX)
     calls = []
@@ -399,11 +449,15 @@ def test_build_terms_uses_one_lu_and_no_series_inverse(monkeypatch):
         calls.append(m)
         return lu_invert(m, ctx)
 
-    def forbidden(J):
-        raise AssertionError("series_matrix_inverse on the solve path")
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} on the solve path")
+
+        return call
 
     monkeypatch.setattr(scheme, "lu_invert", counting_lu)
-    monkeypatch.setattr(scheme, "series_matrix_inverse", forbidden)
+    for name in ("series_matrix_inverse", "jacobian_series", "eval_jet"):
+        monkeypatch.setattr(scheme, name, forbidden(name))
     terms = build_terms(p, p.start, SchemeSpec(8), neg_f(p, p.start))
     assert len(terms) == 7 and len(calls) == 1
 

@@ -24,6 +24,7 @@ from invseries.taylor import (
     jet_sub,
     jet_var,
     multi_indices,
+    univariate_series,
 )
 
 from helpers import derivative_tensor, max_coeff_diff
@@ -194,6 +195,37 @@ def test_compose_trig_values():
     # sin^2 + cos^2 == 1 as jets
     unit = jet_add(jet_mul(s, s), jet_mul(c, c))
     assert max_coeff_diff(unit, jet_constant(CTX, 1, 1, 3)) < TOL
+
+
+class _CountingMP:
+    """An mpmath context that records its sin and cos calls."""
+
+    def __init__(self, mp):
+        self.mp, self.calls = mp, []
+
+    def __getattr__(self, name):
+        attr = getattr(self.mp, name)
+        if name not in ("sin", "cos"):
+            return attr
+
+        def counted(x):
+            self.calls.append(name)
+            return attr(x)
+
+        return counted
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_trig_series_calls_sin_and_cos_once(fn):
+    mp = CTX.mp
+    c = mp.mpf("0.3")
+    counting = _CountingMP(mp)
+    series = univariate_series(fn, c, 7, counting)
+    assert sorted(counting.calls) == ["cos", "sin"]
+    sin_c, cos_c = mp.sin(c), mp.cos(c)
+    cycle = [sin_c, cos_c, -sin_c, -cos_c] * 3
+    start = 0 if fn == "sin" else 1
+    assert series == [cycle[start + k] / math.factorial(k) for k in range(8)]
 
 
 def test_compose_domain_errors():
