@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import statistics
 from dataclasses import dataclass
 
@@ -113,8 +112,8 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
 
     Measured is e(n+1)/e(n)^k at the last usable iteration.  Predicted is
     |a_k * f'(root)^k| where a_k is the first series coefficient the
-    order-k update drops: T_k[1, ..., 1] / k!, built at the root along the
-    direction 1.
+    order-k update drops: x_k = T_k[1, ..., 1] / k!, built at the root
+    along the direction 1.
     """
     if problem.nvars != 1:
         raise ValueError("error_constant_check needs a 1-variable problem")
@@ -143,7 +142,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
 
     # first dropped coefficient: build one extra term at the root
     terms = build_terms(problem, root, SchemeSpec(k + 1), MPVector([ctx.one]))
-    a_k = terms[k - 1][0] / math.factorial(k)
+    a_k = terms[k - 1][0]
     fprime = jet_partial(eval_jet(problem.equations[0], root, 1, ctx), 0).value()
     predicted = abs(a_k * fprime**k)
     return measured, predicted

@@ -2,9 +2,8 @@
 
 The update of convergence order k adds m = k-1 series terms
 T_p[v, ..., v] / p! along v = -f(x), where T_p is the p-th derivative of
-the local inverse of f.  These terms are p!·x_p for the Taylor
-coefficients x_p of the path x(t) that solves f(x(t)) = f(x) + t·v, so
-they are built from one LU of the Jacobian and one univariate jet sweep
+the local inverse of f.  These terms are the Taylor coefficients x_p of
+the path x(t) that solves f(x(t)) = f(x) + t·v, so they are built from one LU of the Jacobian and one univariate jet sweep
 of f per coefficient; no tensor and no series of the inverse is formed.
 The Jacobian comes from the forward-mode ``eval_gradient``.  Jet
 arithmetic makes every coefficient exact series algebra, so no
@@ -17,7 +16,6 @@ uses neither.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -166,7 +164,7 @@ def _mat_vec(m: MPMatrix, v) -> list:
 def build_terms(
     problem: Problem, point: MPVector, spec: SchemeSpec, direction: MPVector
 ) -> list[MPVector]:
-    """Terms U_p = T_p[v, ..., v] = p!·x_p for p = 1..m at a point, m = spec.terms.
+    """Terms x_p = T_p[v, ..., v] / p! for p = 1..m at a point, m = spec.terms.
 
     x_p is the degree-p Taylor coefficient of the path x(t) from the point
     with f(x(t)) = f(point) + t·v.  Degree 1 gives J·x_1 = v.  For p >= 2
@@ -190,17 +188,14 @@ def build_terms(
         ]
         c = [eval_jet_at(eq, seeds, ctx).coeffs[(p,)] for eq in problem.equations]
         path.append([-x for x in _mat_vec(X0, c)])
-    return [
-        MPVector(x * math.factorial(p) for x in xs) for p, xs in enumerate(path[1:], 1)
-    ]
+    return [MPVector(xs) for xs in path[1:]]
 
 
 def apply_update(terms: list[MPVector], point: MPVector) -> MPVector:
-    """One fixed-point step, x + sum over p of U_p / p!."""
+    """One fixed-point step, x + x_1 + ... + x_m, summed left to right."""
     new_entries = list(point)
-    for p, term in enumerate(terms, start=1):
-        fact = math.factorial(p)
-        new_entries = [x + u / fact for x, u in zip(new_entries, term)]
+    for term in terms:
+        new_entries = [x + u for x, u in zip(new_entries, term)]
     return MPVector(new_entries)
 
 
