@@ -39,7 +39,8 @@ class OrderEstimate:
         )
 
 
-def _window(ctx, precision):
+def estimator_window(ctx, precision):
+    """(lower, upper) magnitude bounds of the usable window; empty at low precision."""
     return ctx.pow10(-precision + 100), ctx.mp.mpf("1e-2")
 
 
@@ -60,7 +61,7 @@ def nearest_root(problem, x: MPVector) -> MPVector:
 def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEstimate:
     """Per-iteration p = log e(n+1) / log e(n) on distances to a known root."""
     ctx = trace.problem.context
-    lower, upper = _window(ctx, trace.precision)
+    lower, upper = estimator_window(ctx, trace.precision)
     root_residual = norm_inf(evaluate_system(trace.problem, root))
     if not root_residual < lower:
         raise ValueError(
@@ -88,7 +89,7 @@ def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEst
 def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
     """Root-free estimate from step norms: log(s(n+1)/s(n)) / log(s(n)/s(n-1))."""
     ctx = trace.problem.context
-    lower, upper = _window(ctx, trace.precision)
+    lower, upper = estimator_window(ctx, trace.precision)
     steps = trace.step_norms()
     if len(steps) < 4:
         raise InsufficientDataError(f"only {len(steps)} steps recorded (need 4)")
@@ -123,7 +124,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
     k = spec.order
     root = nearest_root(problem, trace.rows[-1].x)
     deltas = [norm_inf(row.x.sub(root)) for row in trace.rows]
-    lower, upper = _window(ctx, trace.precision)
+    lower, upper = estimator_window(ctx, trace.precision)
 
     anchors = [
         n

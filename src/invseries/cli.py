@@ -14,13 +14,14 @@ from .analysis import (
     TABLE_FORMATS,
     estimate_order_known_root,
     estimate_order_successive,
+    estimator_window,
     nearest_root,
     render_table,
 )
 from .corpus import BUILTIN_NAMES, builtin_problem
 from .errors import InsufficientDataError, InvseriesError
 from .expr import parse_problem
-from .numerics import Context
+from .numerics import Context, format_scalar
 from .solver import SolveConfig, Status, solve
 
 _STATUS_EXIT = {
@@ -131,8 +132,14 @@ def cmd_order_check(args) -> int:
         raise ValueError("--orders lists no orders")
     # every config is validated before anything is printed
     configs = [_config(args, order) for order in orders]
-
     ctx = Context(args.precision)
+    lower, upper = estimator_window(ctx, args.precision)
+    if not lower < upper:
+        raise ValueError(
+            f"--precision {args.precision} is too low to estimate orders: the usable "
+            f"window ({format_scalar(lower, 3)}, {format_scalar(upper, 3)}) is empty"
+        )
+
     problem = _load_problem(args, ctx)
     print("| order | known_root | successive | verdict |")
     print("|---|---|---|---|")

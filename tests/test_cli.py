@@ -192,6 +192,25 @@ def test_order_check_rejects_bad_tol_before_output(capsys, tol):
     assert err.startswith("error:")
 
 
+def test_order_check_rejects_an_empty_estimator_window(capsys):
+    code, out, err = run(
+        capsys, "order-check", "--builtin", "incas-2var", "--precision", "80",
+    )
+    assert code == 1
+    assert out == ""
+    assert "window (1.00e20, 1.00e-2) is empty" in err
+
+
+def test_order_check_accepts_the_first_nonempty_window(capsys):
+    code, out, err = run(
+        capsys, "order-check", "--builtin", "incas-2var", "--orders", "2",
+        "--precision", "103",
+    )
+    assert err == ""
+    assert out.startswith("| order |")
+    assert "| 2 |" in out
+
+
 def test_byte_identical_reruns(capsys):
     argv = [
         "solve", "--builtin", "incas-2var", "--order", "4",
