@@ -455,7 +455,7 @@ def eval_gradient(e: Expr, point: MPVector, ctx: Context):
             b0 = right[0]
             if b0 == 0:
                 raise DivisionByZeroJetError("jet constant term is zero")
-            r = mp.mpf(1) / b0
+            r = ctx.one / b0
             return _grad_mul(left, _grad_scale(r, -r * r, right))
         if isinstance(node, Power):
             base = rec(node.base)

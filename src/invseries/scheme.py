@@ -3,8 +3,9 @@
 The update of convergence order k adds m = k-1 series terms
 T_p[v, ..., v] / p! along v = -f(x), where T_p is the p-th derivative of
 the local inverse of f.  These terms are the Taylor coefficients x_p of
-the path x(t) that solves f(x(t)) = f(x) + t·v, so they are built from one LU of the Jacobian and one univariate jet sweep
-of f per coefficient; no tensor and no series of the inverse is formed.
+the path x(t) that solves f(x(t)) = f(x) + t·v, so they are built from
+one LU of the Jacobian and one univariate jet sweep of f per
+coefficient; no tensor and no series of the inverse is formed.
 The Jacobian comes from the forward-mode ``eval_gradient``.  Jet
 arithmetic makes every coefficient exact series algebra, so no
 closed-form derivative-of-inverse formulas are needed at any order.

@@ -401,7 +401,7 @@ QUOTIENT_FACTORS = (
 
 @st.composite
 def jacobian_cases(draw):
-    """A builtin or a node-kind system at a point with full-length mantissas."""
+    """A builtin, node-kind or quotient system at a point with full mantissas."""
     source = draw(st.sampled_from(["builtin", "node kinds", "quotient factors"]))
     # node-kind and quotient terms stay in their domains on [1/2, 3/2]
     low, width = CTX.mp.mpf("0.5"), 1
