@@ -427,11 +427,11 @@ def eval_gradient(e: Expr, point: MPVector, ctx: Context):
 
     Returns ``(value, grad)`` where ``grad`` maps a variable index to its
     partial; a constant subtree has no entries.  Every operation replays
-    the degree-1 jet arithmetic of ``eval_jet``, so each partial is bit for
-    bit the jet's coefficient: products sum a0·b_i + a_i·b0, a quotient is
-    a·(1/b), ``^`` is ``jet_pow_int``'s binary exponentiation, and
-    elementary functions take s0 and s1 from ``taylor.univariate_series``.
-    Values are the jet's too, so a quotient carries a·(1/b), not a/b.
+    the degree-1 jet arithmetic of ``eval_jet``, so value and partials are
+    bit for bit the jet's: products sum a0·b_i + a_i·b0, a quotient is
+    a·(1/b) (not ``eval_scalar``'s a/b), ``^`` is ``jet_pow_int``'s binary
+    exponentiation, and elementary functions take s0 and s1 from
+    ``taylor.univariate_series``.
     """
     mp = ctx.mp
     xs = [mp.mpf(x) for x in point]
