@@ -142,7 +142,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
         raise InsufficientDataError("no usable error pair in the trace")
 
     # first dropped coefficient: build one extra term at the root
-    terms = build_terms(problem, root, SchemeSpec(k + 1), MPVector([ctx.one]))
+    terms = build_terms(problem, root, spec, MPVector([ctx.one]), terms=k)
     a_k = terms[k - 1][0]
     fprime = jet_partial(eval_jet(problem.equations[0], root, 1, ctx), 0).value()
     predicted = abs(a_k * fprime**k)

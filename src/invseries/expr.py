@@ -6,7 +6,10 @@ coordinate jets of ``eval_jet`` expand an expression around a point, and
 univariate jets along a curve give its Taylor coefficients on that curve.
 ``eval_gradient`` gives the value and first partials at a point by forward
 mode, bit for bit the degree-1 coefficients of ``eval_jet`` at less cost;
-the solver's Jacobian comes from it.
+the solver's Jacobian comes from it.  ``nonlinear_part`` drops the affine
+summands of an expression: the path sweeps read only the top coefficient,
+where the seeds are 0, so an affine summand adds an exact 0 there and
+the sweeps skip it.
 
 File format (UTF-8, ``#`` starts a comment, keys in this order)::
 
@@ -390,6 +393,45 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
         raise TypeError(f"not an expression node: {node!r}")
 
     return rec(e)
+
+
+def nonlinear_part(e: Expr) -> Expr | None:
+    """``e`` without its affine summands; None when ``e`` is affine.
+
+    Along univariate seeds whose top coefficient is 0, an affine subtree's
+    top coefficient is an exact 0, and adding or subtracting an exact 0
+    leaves a value's bits unchanged (0 - y is -y exactly).  So the top
+    coefficient of ``eval_jet_at(nonlinear_part(e), ...)`` is bit for bit
+    that of ``e``.  The transform descends only through +, -, unary minus,
+    a constant factor and a constant divisor, which read the top
+    coefficient alone; every other product, quotient, power and call
+    needs its operands' lower coefficients and is kept whole.
+    """
+    if isinstance(e, (Const, Var)):
+        return None
+    if isinstance(e, Neg):
+        arg = nonlinear_part(e.arg)
+        return None if arg is None else Neg(arg)
+    if isinstance(e, BinOp):
+        if e.op in "+-":
+            left, right = nonlinear_part(e.left), nonlinear_part(e.right)
+            if right is None:
+                return left
+            if left is None:
+                return right if e.op == "+" else Neg(right)
+            return BinOp(e.op, left, right)
+        if e.op == "*" and isinstance(e.left, Const):
+            inner = nonlinear_part(e.right)
+            return None if inner is None else BinOp("*", e.left, inner)
+        if isinstance(e.right, Const):
+            inner = nonlinear_part(e.left)
+            return None if inner is None else BinOp(e.op, inner, e.right)
+        return e
+    if isinstance(e, Power):
+        if e.exponent == 0 or (e.exponent == 1 and nonlinear_part(e.base) is None):
+            return None
+        return e
+    return e
 
 
 def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorPoly:

@@ -22,7 +22,14 @@ from functools import reduce
 from operator import add, mul
 
 from .errors import SchemeSizeError, ShapeMismatchError
-from .expr import Problem, eval_gradient, eval_jet, eval_jet_at, eval_scalar
+from .expr import (
+    Problem,
+    eval_gradient,
+    eval_jet,
+    eval_jet_at,
+    eval_scalar,
+    nonlinear_part,
+)
 from .numerics import MPMatrix, MPVector, lu_invert
 from .taylor import (
     TaylorPoly,
@@ -163,16 +170,28 @@ def _mat_vec(m: MPMatrix, v) -> list:
 
 
 def build_terms(
-    problem: Problem, point: MPVector, spec: SchemeSpec, direction: MPVector
+    problem: Problem,
+    point: MPVector,
+    spec: SchemeSpec,
+    direction: MPVector,
+    *,
+    terms: int | None = None,
 ) -> list[MPVector]:
-    """Terms x_p = T_p[v, ..., v] / p! for p = 1..m at a point, m = spec.terms.
+    """Terms x_p = T_p[v, ..., v] / p! for p = 1..m at a point.
+
+    m is ``terms`` when given and ``spec.terms`` otherwise; the error
+    constant needs one term beyond the top order's update.
 
     x_p is the degree-p Taylor coefficient of the path x(t) from the point
     with f(x(t)) = f(point) + t·v.  Degree 1 gives J·x_1 = v.  For p >= 2
     the degree-p coefficient of f(x(t)) vanishes; it is J·x_p + c_p, where
     c_p is that coefficient of f along the path known so far (x_p left 0),
     one univariate jet sweep of degree p.  So x_p = -J^-1·c_p, and one LU
-    of J serves every p.
+    of J serves every p.  The sweep runs over each equation's
+    ``nonlinear_part`` only: its affine summands add exact zeros to c_p,
+    and an affine equation has c_p = 0 without a sweep.  Every error the
+    full trees could raise there, ``jacobian`` raises first at the same
+    point.
     """
     n = problem.nvars
     if n > MAX_VARS:
@@ -180,14 +199,19 @@ def build_terms(
     if point.dim != n or direction.dim != n:
         raise ShapeMismatchError("point or direction dimension differs from nvars")
     ctx = problem.context
+    m = spec.terms if terms is None else terms
     X0 = lu_invert(jacobian(problem, point), ctx)
     path = [list(point), _mat_vec(X0, direction)]
-    for p in range(2, spec.terms + 1):
+    parts = [nonlinear_part(eq) for eq in problem.equations] if m >= 2 else []
+    for p in range(2, m + 1):
         keys = multi_indices(1, p)
         seeds = [
             TaylorPoly(ctx, 1, p, dict(zip(keys, (*xs, ctx.zero)))) for xs in zip(*path)
         ]
-        c = [eval_jet_at(eq, seeds, ctx).coeffs[(p,)] for eq in problem.equations]
+        c = [
+            ctx.zero if part is None else eval_jet_at(part, seeds, ctx).coeffs[(p,)]
+            for part in parts
+        ]
         path.append([-x for x in _mat_vec(X0, c)])
     return [MPVector(xs) for xs in path[1:]]
 

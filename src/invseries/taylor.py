@@ -7,6 +7,15 @@ multiplication is a plain truncated convolution.  Propagating jets through
 an expression yields exact derivatives of any order, which is what feeds
 the scheme builder.  ``univariate_series`` gives the Taylor coefficients
 of each elementary function, shared with the gradient evaluator.
+
+``jet_mul`` skips only work whose result is exact, so every coefficient
+keeps the bits of the schoolbook convolution (every nonzero product
+added, in the same order, to an exact 0): it walks a cached table of
+coefficient positions, takes each output's first product as its value
+rather than adding it to 0, and computes the mirror products a_i·a_j and
+a_j·a_i of a square once.  ``jet_pow_int`` starts from the base, not from
+1·base, and Horner composition adds each series coefficient to the
+constant term alone.
 """
 
 from __future__ import annotations
@@ -134,34 +143,94 @@ def jet_neg(a: TaylorPoly) -> TaylorPoly:
     )
 
 
+@lru_cache(maxsize=None)
+def _product_table(nvars: int, max_degree: int):
+    """The coefficient pairs a truncated product visits, by position.
+
+    Row j lists (k, o, s) for every position k of ``multi_indices`` whose
+    key adds to key j within the degree bound, o being the position of the
+    sum.  Rows and entries keep the schoolbook order (a's keys outer, b's
+    inner), so each output sums its products in that order.  s numbers
+    the mirror pair {j, k} of a square: -1 on the diagonal, otherwise the
+    same slot for (j, k) and (k, j).
+    """
+    keys = multi_indices(nvars, max_degree)
+    where = {key: pos for pos, key in enumerate(keys)}
+    degrees = [sum(key) for key in keys]
+    slots = {}
+    rows = []
+    for j, ka in enumerate(keys):
+        row = []
+        for k, kb in enumerate(keys):
+            if degrees[j] + degrees[k] <= max_degree:
+                o = where[tuple(x + y for x, y in zip(ka, kb))]
+                s = -1 if j == k else slots.setdefault((min(j, k), max(j, k)), len(slots))
+                row.append((k, o, s))
+        rows.append(tuple(row))
+    return tuple(rows), len(slots)
+
+
 def jet_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
-    """Truncated convolution: terms above max_degree are discarded."""
+    """Truncated convolution: terms above max_degree are discarded.
+
+    Bit for bit the schoolbook product: products with a zero factor are
+    skipped, each output's first product becomes its value, and when
+    ``a is b`` each mirror product is computed once and used twice.
+    """
     _check_same_shape(a, b)
-    d = a.max_degree
-    out = _zeros(a.ctx, a.nvars, d)
-    bterms = [(ib, sum(ib), cb) for ib, cb in b.coeffs.items() if cb != 0]
-    for ia, ca in a.coeffs.items():
-        if ca == 0:
-            continue
-        da = sum(ia)
-        for ib, db, cb in bterms:
-            if da + db > d:
+    ctx, n, d = a.ctx, a.nvars, a.max_degree
+    rows, nslots = _product_table(n, d)
+    ac = [c if c else None for c in a.coeffs.values()]
+    out = [None] * len(ac)
+    if a is b:
+        saved = [None] * nslots
+        for j, (aj, row) in enumerate(zip(ac, rows)):
+            if aj is None:
                 continue
-            key = tuple(x + y for x, y in zip(ia, ib))
-            out[key] += ca * cb
-    return TaylorPoly(a.ctx, a.nvars, d, out)
+            for k, o, s in row:
+                ak = ac[k]
+                if ak is None:
+                    continue
+                if k > j:
+                    prod = saved[s] = aj * ak
+                elif k < j:
+                    prod = saved[s]
+                else:
+                    prod = aj * ak
+                cur = out[o]
+                out[o] = prod if cur is None else cur + prod
+    else:
+        bc = [c if c else None for c in b.coeffs.values()]
+        for aj, row in zip(ac, rows):
+            if aj is None:
+                continue
+            for k, o, _ in row:
+                bk = bc[k]
+                if bk is not None:
+                    prod = aj * bk
+                    cur = out[o]
+                    out[o] = prod if cur is None else cur + prod
+    zero = ctx.zero
+    coeffs = dict(zip(multi_indices(n, d), (zero if c is None else c for c in out)))
+    return TaylorPoly(ctx, n, d, coeffs)
 
 
 def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
-    """Horner evaluation of sum_k series[k]*(a - a0)^k, truncated."""
+    """Horner evaluation of sum_k series[k]*(a - a0)^k, truncated.
+
+    a - a0 has a zero constant term, so each Horner product does too, and
+    adding series[k] touches the constant term alone.  The products are
+    fresh jets no caller has seen, so that add is done in place.
+    """
     ctx, n, d = a.ctx, a.nvars, a.max_degree
+    origin = (0,) * n
     shifted_coeffs = dict(a.coeffs)
-    shifted_coeffs[(0,) * n] = ctx.zero
+    shifted_coeffs[origin] = ctx.zero
     shifted = TaylorPoly(ctx, n, d, shifted_coeffs)
     result = jet_constant(ctx, series[-1], n, d)
     for k in range(len(series) - 2, -1, -1):
         result = jet_mul(result, shifted)
-        result = jet_add(result, jet_constant(ctx, series[k], n, d))
+        result.coeffs[origin] += series[k]
     return result
 
 
@@ -182,12 +251,14 @@ def jet_pow_int(a: TaylorPoly, exponent: int) -> TaylorPoly:
     """Non-negative integer power by binary exponentiation (exact, total)."""
     if not isinstance(exponent, int) or exponent < 0:
         raise DomainError(f"integer power needs a non-negative exponent, got {exponent}")
-    result = jet_constant(a.ctx, a.ctx.one, a.nvars, a.max_degree)
+    if exponent == 0:
+        return jet_constant(a.ctx, a.ctx.one, a.nvars, a.max_degree)
+    result = None  # stands for the exact 1 that 1·base would multiply by
     base = a
     e = exponent
     while e:
         if e & 1:
-            result = jet_mul(result, base)
+            result = base if result is None else jet_mul(result, base)
         e >>= 1
         if e:
             base = jet_mul(base, base)
@@ -199,7 +270,8 @@ def univariate_series(fn: str, c, d: int, mp) -> list:
 
     Jet composition and ``expr.eval_gradient`` (which reads s_0 and s_1)
     both take their coefficients from here, so the two agree bit for bit.
-    The sin/cos cycle is built from one ``mp.sin`` and one ``mp.cos``.
+    The sin/cos cycle is built from one ``mp.cos_sin``, which rounds the
+    same values as separate ``mp.cos`` and ``mp.sin`` calls.
     """
     if fn == "exp":
         ec = mp.exp(c)
@@ -220,7 +292,7 @@ def univariate_series(fn: str, c, d: int, mp) -> list:
             series.append(series[-1] * (mp.mpf(3) / 2 - k) / (k * c))
         return series
     if fn in ("sin", "cos"):
-        sin_c, cos_c = mp.sin(c), mp.cos(c)
+        cos_c, sin_c = mp.cos_sin(c)
         cycle = [sin_c, cos_c, -sin_c, -cos_c]
         shift = 0 if fn == "sin" else 1  # cos starts one derivative later
         return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(d + 1)]

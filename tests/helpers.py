@@ -13,7 +13,7 @@ from invseries.scheme import (
     jacobian_series,
     series_matrix_inverse,
 )
-from invseries.taylor import jet_add, jet_mul, jet_partial
+from invseries.taylor import TaylorPoly, jet_add, jet_mul, jet_partial, multi_indices
 
 
 def identity(ctx: Context, n: int) -> MPMatrix:
@@ -52,6 +52,28 @@ def max_coeff_diff(a, b):
     if (a.nvars, a.max_degree) != (b.nvars, b.max_degree):
         raise ShapeMismatchError("jet shape mismatch")
     return max(abs(c - b.coeffs[alpha]) for alpha, c in a.coeffs.items())
+
+
+def schoolbook_jet_mul(a, b):
+    """Truncated convolution, every nonzero product added to an exact 0.
+
+    The reference for ``taylor.jet_mul``, which must match it bit for bit:
+    a's keys outer, b's keys inner, each product added to its output in
+    that order.
+    """
+    d = a.max_degree
+    out = dict.fromkeys(multi_indices(a.nvars, d), a.ctx.zero)
+    bterms = [(ib, sum(ib), cb) for ib, cb in b.coeffs.items() if cb != 0]
+    for ia, ca in a.coeffs.items():
+        if ca == 0:
+            continue
+        da = sum(ia)
+        for ib, db, cb in bterms:
+            if da + db > d:
+                continue
+            key = tuple(x + y for x, y in zip(ia, ib))
+            out[key] += ca * cb
+    return TaylorPoly(a.ctx, a.nvars, d, out)
 
 
 def derivative_tensor(a, order: int):

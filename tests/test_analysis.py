@@ -140,6 +140,15 @@ def test_error_constant_third_order(scalar_problem):
     assert abs(measured / predicted - 1) < 1e-3
 
 
+@pytest.mark.parametrize("k, expected", [(7, "2.0625"), (8, "3.3515625")])
+def test_error_constant_at_the_top_orders(scalar_problem, k, expected):
+    """|binom(1/2, k)·2^k|, the order-8 case included (MAX_ORDER is 8)."""
+    trace = solve(scalar_problem, SolveConfig(order=k, precision=1000))
+    measured, predicted = error_constant_check(scalar_problem, trace, SchemeSpec(k))
+    assert predicted == scalar_problem.context.mp.mpf(expected)
+    assert abs(measured / predicted - 1) < 1e-3
+
+
 def test_error_constant_affine(ctx1000):
     p = parse_problem("vars: x\neq: 2*x - 3\nstart: 4\nroot: 1.5\n", ctx1000)
     trace = solve(p, SolveConfig(order=2, precision=1000))

@@ -21,6 +21,7 @@ from invseries.expr import (
     eval_jet_at,
     eval_scalar,
     format_expr,
+    nonlinear_part,
     parse_expression,
     parse_problem,
 )
@@ -203,6 +204,34 @@ def test_gradient_refuses_what_the_jet_refuses():
     for text in ("log(x1 - 1)", "sqrt(x1 - 1)"):
         with pytest.raises(DomainError):
             eval_gradient(parse_expression(text, VARS), pt(1, 2), CTX)
+
+
+def test_nonlinear_part_of_the_two_variable_system():
+    problem = parse_problem(TWO_VAR_TEXT, CTX)
+    parts = [nonlinear_part(eq) for eq in problem.equations]
+    assert parts == [None, parse_expression("x1^2 + x2^2", VARS)]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("3*x1 - x2/2 + 5", None),
+        ("-(x1 - 4) * 2", None),
+        ("(x1 + 1)^1 - x2^0", None),
+        ("sin(x1)^0", None),
+        ("3 - x1*x2", "-(x1*x2)"),
+        ("x1 - (x2 + x1^2)", "-(x1^2)"),
+        ("(x1 + x1*x2) / 4", "(x1*x2) / 4"),
+        ("2*(x1 - x2^2) + x2*3", "2*(-(x2^2))"),
+        ("(x1*x2)^1 + x2", "(x1*x2)^1"),
+        ("exp(x1) - x2", "exp(x1)"),
+        ("(x1 + 1)*(x2 - 1) + x1", "(x1 + 1)*(x2 - 1)"),
+        ("1/(x1 + 2) + x1^2", "1/(x1 + 2) + x1^2"),
+    ],
+)
+def test_nonlinear_part_drops_affine_summands(text, expected):
+    found = nonlinear_part(parse_expression(text, VARS))
+    assert found == (None if expected is None else parse_expression(expected, VARS))
 
 
 def test_eval_jet_constant_expression():

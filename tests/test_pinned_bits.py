@@ -1,0 +1,74 @@
+"""Pinned bits: sha256 digests of every ``TraceRow`` of fixed solves.
+
+Each digest covers the exact ``_mpf_`` tuples of every iterate, step,
+step norm, residual norm and root distance, and the final status.  The
+digests were recorded from the schoolbook jet kernel, so a change that
+drops a nonzero term from a sum, or reorders one, fails here even when
+the iterates still agree to many digits.
+"""
+
+import hashlib
+
+import pytest
+
+from invseries.corpus import builtin_problem
+from invseries.expr import parse_problem
+from invseries.numerics import Context
+from invseries.solver import SolveConfig, solve
+
+# the first system of perfbench's synthetic_system(random.Random(1)): eight
+# variables, affine parts, one product, one sin and one exp per equation
+SYNTHETIC_8 = """\
+vars: x1 x2 x3 x4 x5 x6 x7 x8
+eq: 10.7*(x1 + 1) + 0.5*(x2 - 0.75) - 0.5*(x3 - 1.5) + 0.3*(x4 + 1.25) - 0.1*(x5 + 0.5) - 0.2*(x6 + 1.0625) + 0.5*(x7 - 0.4375) - 0.4*(x8 - 1.5) - 1*(x6 + 1.0625)*(x1 + 1) - 1*sin(x1 + 1) + 0.3*(exp(x4 + 1.25) - 1)
+eq: 0.2*(x1 + 1) + 8.1*(x2 - 0.75) + 0.4*(x3 - 1.5) - 0.2*(x4 + 1.25) + 0.3*(x5 + 0.5) + 0.3*(x6 + 1.0625) + 0.4*(x7 - 0.4375) - 0.2*(x8 - 1.5) - 0.3*(x6 + 1.0625)*(x2 - 0.75) + 0.5*sin(x5 + 0.5) - 1*(exp(x7 - 0.4375) - 1)
+eq: 0.4*(x1 + 1) - 0.4*(x2 - 0.75) + 9.1*(x3 - 1.5) - 0.1*(x4 + 1.25) - 0.4*(x5 + 0.5) + 0.1*(x6 + 1.0625) + 0.4*(x7 - 0.4375) + 0.2*(x8 - 1.5) - 0.1*(x4 + 1.25)*(x3 - 1.5) + 0.9*sin(x8 - 1.5) + 0.7*(exp(x7 - 0.4375) - 1)
+eq: 0.5*(x1 + 1) - 0.5*(x2 - 0.75) + 0.3*(x3 - 1.5) + 9.5*(x4 + 1.25) + 0.2*(x5 + 0.5) + 0.2*(x6 + 1.0625) - 0.3*(x7 - 0.4375) + 0.1*(x8 - 1.5) + 0.5*(x6 + 1.0625)*(x1 + 1) + 0.7*sin(x2 - 0.75) - 0.5*(exp(x7 - 0.4375) - 1)
+eq: 0.1*(x1 + 1) + 0.3*(x2 - 0.75) - 0.5*(x3 - 1.5) + 0.3*(x4 + 1.25) + 8.2*(x5 + 0.5) - 0.1*(x6 + 1.0625) + 0.5*(x7 - 0.4375) + 0.5*(x8 - 1.5) - 0.5*(x7 - 0.4375)*(x6 + 1.0625) - 0.5*sin(x4 + 1.25) - 1*(exp(x4 + 1.25) - 1)
+eq: 0.4*(x1 + 1) + 0.4*(x2 - 0.75) - 0.2*(x3 - 1.5) + 0.2*(x4 + 1.25) + 0.4*(x5 + 0.5) + 10.2*(x6 + 1.0625) + 0.5*(x7 - 0.4375) + 0.1*(x8 - 1.5) + 0.8*(x8 - 1.5)*(x3 - 1.5) + 1*sin(x1 + 1) + 0.3*(exp(x3 - 1.5) - 1)
+eq: 0.4*(x1 + 1) + 0.4*(x2 - 0.75) - 0.2*(x3 - 1.5) + 0.2*(x4 + 1.25) - 0.5*(x5 + 0.5) + 0.3*(x6 + 1.0625) + 10.3*(x7 - 0.4375) + 0.5*(x8 - 1.5) + 0.4*(x4 + 1.25)*(x5 + 0.5) + 0.6*sin(x6 + 1.0625) + 0.4*(exp(x6 + 1.0625) - 1)
+eq: - 0.5*(x1 + 1) + 0.4*(x2 - 0.75) + 0.4*(x3 - 1.5) + 0.5*(x4 + 1.25) + 0.5*(x5 + 0.5) + 0.1*(x6 + 1.0625) + 0.3*(x7 - 0.4375) + 11.8*(x8 - 1.5) - 0.3*(x1 + 1)*(x7 - 0.4375) - 0.5*sin(x3 - 1.5) - 0.8*(exp(x5 + 0.5) - 1)
+start: -0.5625 1.25 1.8125 -1.375 -0.8125 -0.5625 -0.0625 1.8125
+root: -1 0.75 1.5 -1.25 -0.5 -1.0625 0.4375 1.5
+"""
+
+DIGESTS = {
+    ("incas-3var", 1000, 2): "cd85c5176325dee42bf09cc40a4a44cf17417f5533a72e1225ca2bfd84ed829c",
+    ("incas-3var", 1000, 3): "680f15b14ec1b7259cadb1537a0b670ac912a7c967eb46ab9f04f3ac840c79c9",
+    ("incas-3var", 1000, 4): "c6746e5fc172eab66e682f0739364ba866dab3a533a6a4f0c9040b0dc037ea49",
+    ("incas-3var", 1000, 5): "f5f6db3e1eb651364594b488be5bc1621fef32dc6364a17bd04f76c44f85cb5a",
+    ("incas-3var", 1000, 6): "25ec9971abf0da787f29f89691f76a34148fe3991d35de58760ebb5dffdddeb9",
+    ("synthetic-8", 300, 2): "b99ccb4929144189dd3fd4d800ed2db3553f090ece56dd482c81025f6d763c42",
+    ("synthetic-8", 300, 3): "37e75d398fa5d76273559bad2cc2991ed0306ca766aa9fcee30782c301a36d04",
+    ("synthetic-8", 300, 4): "3690d24905a75007f9098c2fe6ede657f1f2a2a917f6dfed4ab60d3d80609981",
+    ("synthetic-8", 300, 5): "1c2863b0d80405f2b3777204bc04a3c04c0c161deb6eaaf6d143cc4a48f9dbc8",
+}
+
+
+def _bits(value):
+    if value is None:
+        return None
+    if hasattr(value, "_mpf_"):
+        return tuple(int(part) for part in value._mpf_)
+    return tuple(_bits(v) for v in value)
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256(trace.status.value.encode())
+    for row in trace.rows:
+        fields = (row.x, row.step, row.step_norm, row.residual_norm, row.error_vs_root)
+        h.update(repr((row.index, *map(_bits, fields))).encode())
+    return h.hexdigest()
+
+
+def _problem(name, ctx):
+    if name == "synthetic-8":
+        return parse_problem(SYNTHETIC_8, ctx)
+    return builtin_problem(name, ctx)
+
+
+@pytest.mark.parametrize("name, precision, order", sorted(DIGESTS))
+def test_trace_bits_are_pinned(name, precision, order):
+    ctx = Context(precision)
+    trace = solve(_problem(name, ctx), SolveConfig(order, precision))
+    assert trace_digest(trace) == DIGESTS[(name, precision, order)]

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from invseries import scheme
 from invseries.corpus import BUILTIN_NAMES, builtin_problem
-from invseries.errors import SchemeSizeError, ShapeMismatchError, SingularMatrixError
+from invseries.errors import (
+    DivisionByZeroJetError,
+    DomainError,
+    SchemeSizeError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
 from invseries.expr import (
     BinOp,
     Const,
@@ -15,7 +21,9 @@ from invseries.expr import (
     Var,
     eval_gradient,
     eval_jet,
+    eval_jet_at,
     eval_scalar,
+    nonlinear_part,
     parse_expression,
     parse_problem,
 )
@@ -388,6 +396,49 @@ def test_path_update_matches_tensor_reference_through_every_node_kind(problem, k
     mine = update(problem, problem.start, SchemeSpec(k))
     scale = max(CTX.one, norm_inf(ref))
     assert norm_inf(mine.sub(ref)) <= scale * CTX.pow10(-CTX.precision + 20)
+
+
+# affine summands in every position nonlinear_part prunes (A - N, N - A,
+# a constant factor on either side, a constant divisor, ^0 and ^1), and
+# one affine equation
+AFFINE_SUMMANDS = (
+    "vars: x1 x2 x3\n"
+    "eq: 70*x1 + 3 - x1*x2 + (x1 + 2)^1 - sin(x2)^0 + 2*(x1 - x3^2)\n"
+    "eq: 70*x2 + (x1^2 - x3)/4 - (5 - exp(x2))*3 - x1/2 + (x1*x2)^1\n"
+    "eq: x1 - x2/2 + 70*x3\n"
+    "start: 0.7 1.3 0.5\n"
+)
+
+
+@given(problem=node_kind_problems(), p=st.integers(2, 5))
+@example(problem=problem_from(AFFINE_SUMMANDS, CTX), p=5)
+@settings(max_examples=40)
+def test_sweeping_the_nonlinear_part_is_bitwise_the_full_sweep(problem, p):
+    point = problem.start
+    direction = neg_f(problem, point)
+    path = [point, *build_terms(problem, point, SchemeSpec(2), direction, terms=p - 1)]
+    keys = multi_indices(1, p)
+    seeds = [TaylorPoly(CTX, 1, p, dict(zip(keys, (*xs, CTX.zero)))) for xs in zip(*path)]
+    for eq in problem.equations:
+        full = eval_jet_at(eq, seeds, CTX).coeffs[(p,)]
+        part = nonlinear_part(eq)
+        mine = CTX.zero if part is None else eval_jet_at(part, seeds, CTX).coeffs[(p,)]
+        assert mine._mpf_ == full._mpf_
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("vars: x\neq: x^2 + x/0\nstart: 2\n", DivisionByZeroJetError),
+        ("vars: x\neq: x^2 + log(x - 3)^0\nstart: 2\n", DomainError),
+        ("vars: x y\neq: x^2 + y\neq: x - y/0\nstart: 2 1\n", DivisionByZeroJetError),
+    ],
+)
+def test_pruned_subtrees_still_raise_their_errors(text, error):
+    """The sweeps skip these subtrees; the Jacobian still evaluates them."""
+    p = problem_from(text, CTX)
+    with pytest.raises(error):
+        build_terms(p, p.start, SchemeSpec(4), MPVector([CTX.one] * p.nvars))
 
 
 # quotients whose values feed products: the gradient must carry a·(1/b)

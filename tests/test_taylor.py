@@ -27,7 +27,7 @@ from invseries.taylor import (
     univariate_series,
 )
 
-from helpers import derivative_tensor, max_coeff_diff
+from helpers import derivative_tensor, max_coeff_diff, schoolbook_jet_mul
 
 CTX = Context(60)
 TOL = CTX.pow10(-CTX.precision + 15)
@@ -198,14 +198,14 @@ def test_compose_trig_values():
 
 
 class _CountingMP:
-    """An mpmath context that records its sin and cos calls."""
+    """An mpmath context that records its sin, cos and cos_sin calls."""
 
     def __init__(self, mp):
         self.mp, self.calls = mp, []
 
     def __getattr__(self, name):
         attr = getattr(self.mp, name)
-        if name not in ("sin", "cos"):
+        if name not in ("sin", "cos", "cos_sin"):
             return attr
 
         def counted(x):
@@ -215,13 +215,81 @@ class _CountingMP:
         return counted
 
 
+def sparse_jets(nvars, degree):
+    """Jets with full-mantissa coefficients and exact zeros mixed in."""
+    size = len(multi_indices(nvars, degree))
+    entry = st.one_of(st.just((0, 1)), st.tuples(st.integers(-999, 999), st.integers(1, 999)))
+
+    def build(pairs):
+        values = (CTX.mp.mpf(num) / den for num, den in pairs)
+        return TaylorPoly(CTX, nvars, degree, dict(zip(multi_indices(nvars, degree), values)))
+
+    return st.lists(entry, min_size=size, max_size=size).map(build)
+
+
+def _bits(jet):
+    return [(alpha, c._mpf_) for alpha, c in jet.coeffs.items()]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_jet_mul_is_bitwise_the_schoolbook_product(data):
+    nvars = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(0, 6))
+    a = data.draw(sparse_jets(nvars, degree))
+    b = data.draw(sparse_jets(nvars, degree))
+    twin = TaylorPoly(CTX, nvars, degree, dict(a.coeffs))  # equal, not identical
+    for x, y in ((a, b), (b, a), (a, a), (a, twin)):
+        assert _bits(jet_mul(x, y)) == _bits(schoolbook_jet_mul(x, y))
+
+
+def test_pow_int_is_bitwise_the_powering_from_one():
+    """Starting from the base drops only the exact products by 1."""
+    x = jet_var(CTX, 0, CTX.mp.mpf("1.5"), 2, 4)
+    y = jet_add(x, jet_var(CTX, 1, CTX.mp.mpf("0.3"), 2, 4))
+    for base in (x, jet_mul(x, y)):
+        for exponent in range(7):
+            ref, square, e = jet_constant(CTX, 1, 2, 4), base, exponent
+            while e:
+                if e & 1:
+                    ref = schoolbook_jet_mul(ref, square)
+                e >>= 1
+                if e:
+                    square = schoolbook_jet_mul(square, square)
+            assert _bits(jet_pow_int(base, exponent)) == _bits(ref)
+    assert jet_pow_int(x, 1) is x
+
+
+def _schoolbook_compose(series, a):
+    n, d = a.nvars, a.max_degree
+    shifted = TaylorPoly(CTX, n, d, {**a.coeffs, (0,) * n: CTX.zero})
+    result = jet_constant(CTX, series[-1], n, d)
+    for s in reversed(series[:-1]):
+        result = jet_add(schoolbook_jet_mul(result, shifted), jet_constant(CTX, s, n, d))
+    return result
+
+
+@pytest.mark.parametrize("fn", ["exp", "log", "sqrt", "sin", "cos"])
+def test_composition_is_bitwise_the_schoolbook_horner(fn):
+    x = jet_var(CTX, 0, CTX.mp.mpf("0.7"), 2, 4)
+    a = jet_add(x, jet_mul(x, jet_var(CTX, 1, CTX.mp.mpf("0.3"), 2, 4)))
+    before = _bits(a)
+    series = univariate_series(fn, a.value(), 4, CTX.mp)
+    assert _bits(jet_compose_univariate(fn, a)) == _bits(_schoolbook_compose(series, a))
+    inv = [CTX.one / a.value()]
+    for _ in range(4):
+        inv.append(-inv[-1] * inv[0])
+    assert _bits(jet_recip(a)) == _bits(_schoolbook_compose(inv, a))
+    assert _bits(a) == before
+
+
 @pytest.mark.parametrize("fn", ["sin", "cos"])
 def test_trig_series_calls_sin_and_cos_once(fn):
     mp = CTX.mp
     c = mp.mpf("0.3")
     counting = _CountingMP(mp)
     series = univariate_series(fn, c, 7, counting)
-    assert sorted(counting.calls) == ["cos", "sin"]
+    assert counting.calls == ["cos_sin"]
     sin_c, cos_c = mp.sin(c), mp.cos(c)
     cycle = [sin_c, cos_c, -sin_c, -cos_c] * 3
     start = 0 if fn == "sin" else 1
