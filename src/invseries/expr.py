@@ -47,6 +47,7 @@ from .taylor import (
     jet_neg,
     jet_pow_int,
     jet_recip,
+    jet_scale,
     jet_sub,
     jet_var,
     univariate_series,
@@ -333,7 +334,12 @@ def parse_problem(text: str, ctx: Context) -> Problem:
 
 
 def eval_scalar(e: Expr, point: MPVector, ctx: Context):
-    """Evaluate an expression at a point at working precision."""
+    """Evaluate an expression at a point at working precision.
+
+    Elementary functions go through ``ctx.elementary``, so the Jacobian
+    and the path sweeps at the same point reuse them; sin and cos are
+    read from one ``cos_sin``.
+    """
     if isinstance(e, Const):
         return ctx.const(e.text)
     if isinstance(e, Var):
@@ -356,9 +362,12 @@ def eval_scalar(e: Expr, point: MPVector, ctx: Context):
         return eval_scalar(e.base, point, ctx) ** e.exponent
     if isinstance(e, Call):
         arg = eval_scalar(e.arg, point, ctx)
+        if e.fn in ("sin", "cos"):
+            cos_arg, sin_arg = ctx.elementary("cos_sin", arg)
+            return sin_arg if e.fn == "sin" else cos_arg
         if e.fn in ("log", "sqrt") and arg <= 0:
             raise DomainError(f"{e.fn} of a non-positive value")
-        return getattr(ctx.mp, e.fn)(arg)
+        return ctx.elementary(e.fn, arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -366,7 +375,9 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     """Jet of an expression whose variable ``i`` is the jet ``seeds[i]``.
 
     Every seed has the same number of variables and degree, and so does
-    every intermediate jet.
+    every intermediate jet.  A constant factor or divisor c scales by c
+    or 1/c (``jet_scale``), bit for bit the product with c's constant jet
+    or with its ``jet_recip``.
     """
     nvars, max_degree = seeds[0].nvars, seeds[0].max_degree
 
@@ -378,6 +389,16 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
         if isinstance(node, Neg):
             return jet_neg(rec(node.arg))
         if isinstance(node, BinOp):
+            if node.op in "*/" and isinstance(node.right, Const):
+                left, c = rec(node.left), ctx.const(node.right.text)
+                if node.op == "*":
+                    return jet_scale(left, c)
+                if c == 0:
+                    raise DivisionByZeroJetError("jet constant term is zero")
+                # what jet_recip gives a constant jet
+                return jet_scale(left, ctx.mp.mpf(1) / c)
+            if node.op == "*" and isinstance(node.left, Const):
+                return jet_scale(rec(node.right), ctx.const(node.left.text))
             left, right = rec(node.left), rec(node.right)
             if node.op == "+":
                 return jet_add(left, right)
@@ -442,11 +463,18 @@ def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorP
 
 
 def _grad_sum(a, b, op):
-    """a + b or a - b (``op`` from ``operator``); an absent partial is 0."""
+    """a + b or a - b (``op`` from ``operator``).
+
+    An absent partial of a is an exact 0, so its sum is b_i or -b_i.
+    """
     (a0, ga), (b0, gb) = a, b
     grad = dict(ga)
     for i, bi in gb.items():
-        grad[i] = op(grad.get(i, 0), bi)
+        ai = grad.get(i)
+        if ai is not None:
+            grad[i] = op(ai, bi)
+        else:
+            grad[i] = -bi if op is operator.sub else bi
     return op(a0, b0), grad
 
 
@@ -512,7 +540,7 @@ def eval_gradient(e: Expr, point: MPVector, ctx: Context):
             return result
         if isinstance(node, Call):
             arg = rec(node.arg)
-            s0, s1 = univariate_series(node.fn, arg[0], 1, mp)
+            s0, s1 = univariate_series(node.fn, arg[0], 1, ctx)
             return _grad_scale(s0, s1, arg)
         raise TypeError(f"not an expression node: {node!r}")
 

@@ -25,6 +25,10 @@ _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
 # precision; building one costs about 0.4 ms and 40 KB of cyclic garbage.
 _MP_CONTEXTS: dict[int, MPContext] = {}
 
+# entries of one Context's elementary-function memo; a step of an n-variable
+# system needs about one per elementary call in its n equations
+ELEMENTARY_MEMO_SIZE = 1024
+
 
 class Context:
     """Working precision (decimal digits) plus its mpmath context.
@@ -36,7 +40,9 @@ class Context:
     precision of every live Context of that precision (a test greps
     ``src/`` for such uses).  Two Contexts of one precision are still
     distinct: jets refuse to mix them.  Values are immutable after
-    construction and safe to hand between threads; ``const`` only memoizes.
+    construction and safe to hand between threads; ``const`` and
+    ``elementary`` only memoize.  ``elementary`` keeps each Context's own
+    memo, so two Contexts of one precision share no entries.
     """
 
     def __init__(self, precision: int = DEFAULT_PRECISION):
@@ -56,12 +62,31 @@ class Context:
         # zero threshold of an LU pivot, relative to the pivot's row
         self.tiny = mp.mpf(10) ** (-precision / 2)
         self._consts = {}
+        self._elementary = {}
 
     def const(self, text: str):
         """The value of a decimal literal the tokenizer matched, parsed once."""
         value = self._consts.get(text)
         if value is None:
             value = self._consts[text] = self.mp.mpf(text)
+        return value
+
+    def elementary(self, fn: str, x):
+        """``mp.<fn>(x)`` for fn in exp, log, sqrt and cos_sin, once per argument.
+
+        A step meets each argument several times: in the residual at the
+        new iterate, then in the Jacobian and the path sweeps there.  The
+        memo holds at most ``ELEMENTARY_MEMO_SIZE`` entries and starts
+        over when full.  ``cos_sin`` gives (cos x, sin x), the same bits
+        as ``mp.cos(x)`` and ``mp.sin(x)``: mpmath rounds all three from
+        one ``mpf_cos_sin``.
+        """
+        key = (fn, x._mpf_)
+        value = self._elementary.get(key)
+        if value is None:
+            if len(self._elementary) >= ELEMENTARY_MEMO_SIZE:
+                self._elementary.clear()
+            value = self._elementary[key] = getattr(self.mp, fn)(x)
         return value
 
     def pow10(self, exponent: int):
@@ -161,16 +186,21 @@ def _lu_factor(m: MPMatrix, ctx: Context):
     perm = list(range(n))
     floors = [ctx.tiny * max(abs(e) for e in row) for row in lu]
     for col in range(n):
-        sizes = [abs(row[col]) for row in lu]
-        pivot_row = max(range(col, n), key=lambda r: (sizes[r] > floors[r], sizes[r]))
-        if sizes[pivot_row] <= floors[pivot_row]:
+        # sizes[i] belongs to row col + i: the rows still to be pivoted
+        sizes = [abs(lu[r][col]) for r in range(col, n)]
+        best = max(range(n - col), key=lambda i: (sizes[i] > floors[col + i], sizes[i]))
+        pivot_row = col + best
+        if sizes[best] <= floors[pivot_row]:
+            half = f"{ctx.precision // 2}{'.5' if ctx.precision % 2 else ''}"
             raise SingularMatrixError(
-                f"column {col} pivot below 10^-{ctx.precision // 2} of its row's scale"
+                f"column {col} pivot below 10^-{half} of its row's scale"
             )
         if pivot_row != col:
             lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
             perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
             floors[col], floors[pivot_row] = floors[pivot_row], floors[col]
+        if col + 1 == n:
+            break  # no row below the last pivot needs its reciprocal
         inv_pivot = ctx.one / lu[col][col]
         for r in range(col + 1, n):
             factor = lu[r][col] * inv_pivot
@@ -180,25 +210,16 @@ def _lu_factor(m: MPMatrix, ctx: Context):
     return lu, perm
 
 
-def _lu_backsolve(lu, perm, b, ctx: Context):
-    n = len(lu)
-    y = [b[perm[i]] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            y[i] -= lu[i][j] * y[j]
-    x = y
-    for i in reversed(range(n)):
-        for j in range(i + 1, n):
-            x[i] -= lu[i][j] * x[j]
-        x[i] /= lu[i][i]
-    return x
-
-
 def lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     """Invert a square matrix; raises SingularMatrixError on tiny pivots.
 
     The result X satisfies m·X = I to working precision for
-    well-conditioned inputs.
+    well-conditioned inputs.  Column j solves LU·x = P·e_j, whose 1 sits
+    in row q = perm⁻¹(j): the forward solve starts there, since the rows
+    above stay an exact 0, row q stays the exact 1 and row i > q starts
+    from 0 − L[i][q]·1 = −L[i][q].  Every other sum runs in full, in the
+    order of a plain forward and back substitution, so each entry keeps
+    that solve's bits.
     """
     if not m.is_square:
         raise ShapeMismatchError("lu_invert needs a square matrix")
@@ -206,9 +227,22 @@ def lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     lu, perm = _lu_factor(m, ctx)
     cols = []
     for j in range(n):
-        e = [ctx.one if i == j else ctx.zero for i in range(n)]
-        cols.append(_lu_backsolve(lu, perm, e, ctx))
-    return MPMatrix(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        q = perm.index(j)
+        x = [ctx.zero] * q + [ctx.one]
+        for i in range(q + 1, n):
+            row = lu[i]
+            xi = -row[q]
+            for k in range(q + 1, i):
+                xi -= row[k] * x[k]
+            x.append(xi)
+        for i in reversed(range(n)):
+            row = lu[i]
+            xi = x[i]
+            for k in range(i + 1, n):
+                xi -= row[k] * x[k]
+            x[i] = xi / row[i]
+        cols.append(x)
+    return MPMatrix(zip(*cols))
 
 
 def _exact_fraction(x) -> Fraction:

@@ -14,8 +14,9 @@ added, in the same order, to an exact 0): it walks a cached table of
 coefficient positions, takes each output's first product as its value
 rather than adding it to 0, and computes the mirror products a_i·a_j and
 a_j·a_i of a square once.  ``jet_pow_int`` starts from the base, not from
-1·base, and Horner composition adds each series coefficient to the
-constant term alone.
+1·base, Horner composition adds each series coefficient to the
+constant term alone, and a product with a constant jet is a
+``jet_scale``.
 """
 
 from __future__ import annotations
@@ -215,20 +216,37 @@ def jet_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
     return TaylorPoly(ctx, n, d, coeffs)
 
 
+def jet_scale(a: TaylorPoly, s) -> TaylorPoly:
+    """a times the constant s: bit for bit ``jet_mul(jet_constant(s), a)``.
+
+    Each output of that product has at most one term, s·a_k, and a zero
+    coefficient stays an exact 0.
+    """
+    zero = a.ctx.zero
+    return TaylorPoly(
+        a.ctx, a.nvars, a.max_degree, {k: s * c if c else zero for k, c in a.coeffs.items()}
+    )
+
+
 def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
     """Horner evaluation of sum_k series[k]*(a - a0)^k, truncated.
 
-    a - a0 has a zero constant term, so each Horner product does too, and
-    adding series[k] touches the constant term alone.  The products are
-    fresh jets no caller has seen, so that add is done in place.
+    The first Horner product has a constant factor, series[-1], so it is
+    a ``jet_scale``.  a - a0 has a zero constant term, so each Horner
+    product does too, and adding series[k] touches the constant term
+    alone.  The products are fresh jets no caller has seen, so that add
+    is done in place.
     """
     ctx, n, d = a.ctx, a.nvars, a.max_degree
+    if len(series) == 1:
+        return jet_constant(ctx, series[0], n, d)
     origin = (0,) * n
     shifted_coeffs = dict(a.coeffs)
     shifted_coeffs[origin] = ctx.zero
     shifted = TaylorPoly(ctx, n, d, shifted_coeffs)
-    result = jet_constant(ctx, series[-1], n, d)
-    for k in range(len(series) - 2, -1, -1):
+    result = jet_scale(shifted, series[-1])
+    result.coeffs[origin] += series[-2]
+    for k in range(len(series) - 3, -1, -1):
         result = jet_mul(result, shifted)
         result.coeffs[origin] += series[k]
     return result
@@ -265,34 +283,36 @@ def jet_pow_int(a: TaylorPoly, exponent: int) -> TaylorPoly:
     return result
 
 
-def univariate_series(fn: str, c, d: int, mp) -> list:
+def univariate_series(fn: str, c, d: int, ctx: Context) -> list:
     """Taylor coefficients s_0..s_d of ``fn`` (exp, log, sqrt, sin, cos) at ``c``.
 
     Jet composition and ``expr.eval_gradient`` (which reads s_0 and s_1)
     both take their coefficients from here, so the two agree bit for bit.
-    The sin/cos cycle is built from one ``mp.cos_sin``, which rounds the
-    same values as separate ``mp.cos`` and ``mp.sin`` calls.
+    s_0 (and, for sin and cos, the whole cycle) comes from
+    ``ctx.elementary``, so ``eval_scalar``, the gradient and every sweep
+    at one point evaluate each function once per argument; the sin/cos
+    cycle is built from one ``cos_sin``.
     """
     if fn == "exp":
-        ec = mp.exp(c)
+        ec = ctx.elementary("exp", c)
         return [ec / math.factorial(k) for k in range(d + 1)]
     if fn == "log":
         if c <= 0:
             raise DomainError("log of a jet needs a positive constant term")
-        series = [mp.log(c)]
+        series = [ctx.elementary("log", c)]
         for k in range(1, d + 1):
             series.append((-1) ** (k - 1) / (k * c**k))
         return series
     if fn == "sqrt":
         if c <= 0:
             raise DomainError("sqrt of a jet needs a positive constant term")
-        series = [mp.sqrt(c)]
+        series = [ctx.elementary("sqrt", c)]
         for k in range(1, d + 1):
             # ratio of consecutive binomial-series coefficients of c^(1/2)
-            series.append(series[-1] * (mp.mpf(3) / 2 - k) / (k * c))
+            series.append(series[-1] * (ctx.mp.mpf(3) / 2 - k) / (k * c))
         return series
     if fn in ("sin", "cos"):
-        cos_c, sin_c = mp.cos_sin(c)
+        cos_c, sin_c = ctx.elementary("cos_sin", c)
         cycle = [sin_c, cos_c, -sin_c, -cos_c]
         shift = 0 if fn == "sin" else 1  # cos starts one derivative later
         return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(d + 1)]
@@ -306,7 +326,7 @@ def jet_compose_univariate(fn: str, a: TaylorPoly) -> TaylorPoly:
     Horner composition with ``a - const``.  Integer powers are not series
     compositions; they go through :func:`jet_pow_int`.
     """
-    return _compose_series(univariate_series(fn, a.value(), a.max_degree, a.ctx.mp), a)
+    return _compose_series(univariate_series(fn, a.value(), a.max_degree, a.ctx), a)
 
 
 def jet_partial(a: TaylorPoly, i: int) -> TaylorPoly:

@@ -4,7 +4,7 @@ import math
 from functools import reduce
 from itertools import product
 
-from invseries.errors import ShapeMismatchError
+from invseries.errors import ShapeMismatchError, SingularMatrixError
 from invseries.numerics import Context, MPMatrix, MPVector
 from invseries.scheme import (
     apply_update,
@@ -14,6 +14,33 @@ from invseries.scheme import (
     series_matrix_inverse,
 )
 from invseries.taylor import TaylorPoly, jet_add, jet_mul, jet_partial, multi_indices
+
+
+class CountingMP:
+    """Wraps an mpmath context and records its elementary-function calls
+    as (name, argument bits)."""
+
+    def __init__(self, mp):
+        self.mp, self.calls = mp, []
+
+    def __getattr__(self, name):
+        attr = getattr(self.mp, name)
+        if name not in ("exp", "log", "sqrt", "sin", "cos", "cos_sin"):
+            return attr
+
+        def counted(x):
+            self.calls.append((name, x._mpf_))
+            return attr(x)
+
+        return counted
+
+
+def counting_context(precision: int) -> Context:
+    """A fresh Context whose elementary-function calls are recorded in
+    ``ctx.mp.calls``; the shared mpmath context is left as it is."""
+    ctx = Context(precision)
+    ctx.mp = CountingMP(ctx.mp)
+    return ctx
 
 
 def identity(ctx: Context, n: int) -> MPMatrix:
@@ -37,6 +64,44 @@ def mat_vec(m: MPMatrix, v: MPVector) -> MPVector:
     if m.cols != v.dim:
         raise ShapeMismatchError(f"matrix cols {m.cols} vs vector dim {v.dim}")
     return MPVector(sum(row[j] * v[j] for j in range(m.cols)) for row in m.entries)
+
+
+def reference_lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
+    """Plain LU inversion, the reference ``numerics.lu_invert`` must match bit
+    for bit: the same pivot rule, every reciprocal and pivot size computed,
+    and each unit vector solved forward and back in full, from row 0.
+    """
+    n = m.rows
+    lu = [list(m.row(i)) for i in range(n)]
+    perm = list(range(n))
+    floors = [ctx.tiny * max(abs(e) for e in row) for row in lu]
+    for col in range(n):
+        sizes = [abs(row[col]) for row in lu]
+        pivot_row = max(range(col, n), key=lambda r: (sizes[r] > floors[r], sizes[r]))
+        if sizes[pivot_row] <= floors[pivot_row]:
+            raise SingularMatrixError(f"column {col} pivot below its row's floor")
+        if pivot_row != col:
+            lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
+            perm[col], perm[pivot_row] = perm[pivot_row], perm[col]
+            floors[col], floors[pivot_row] = floors[pivot_row], floors[col]
+        inv_pivot = ctx.one / lu[col][col]
+        for r in range(col + 1, n):
+            factor = lu[r][col] * inv_pivot
+            lu[r][col] = factor
+            for c in range(col + 1, n):
+                lu[r][c] -= factor * lu[col][c]
+    cols = []
+    for j in range(n):
+        x = [ctx.one if perm[i] == j else ctx.zero for i in range(n)]
+        for i in range(n):
+            for k in range(i):
+                x[i] -= lu[i][k] * x[k]
+        for i in reversed(range(n)):
+            for k in range(i + 1, n):
+                x[i] -= lu[i][k] * x[k]
+            x[i] /= lu[i][i]
+        cols.append(x)
+    return MPMatrix(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
 def max_abs_diff(a: MPMatrix, b: MPMatrix):

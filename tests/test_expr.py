@@ -26,7 +26,7 @@ from invseries.expr import (
     parse_problem,
 )
 from invseries.numerics import Context, MPVector
-from invseries.taylor import TaylorPoly, multi_indices
+from invseries.taylor import TaylorPoly, jet_constant, jet_mul, jet_recip, multi_indices
 
 from helpers import derivative_tensor
 
@@ -196,6 +196,37 @@ def test_gradient_carries_the_jet_quotient_value():
     r = CTX.one / 3
     assert value == 1 * r and value == eval_jet(e, point, 1, CTX).value()
     assert grad == {0: r, 1: 1 * (-r * r * 1)}
+
+
+def _const_jet(text):
+    return jet_constant(CTX, CTX.const(text), 2, 4)
+
+
+@pytest.mark.parametrize(
+    "text, inner, reference",
+    [
+        ("2.5 * (x1*x2)", "x1*x2", lambda e: jet_mul(_const_jet("2.5"), e)),
+        ("(x1*x2) * 2.5", "x1*x2", lambda e: jet_mul(e, _const_jet("2.5"))),
+        ("(x1*x2) / 2.5", "x1*x2", lambda e: jet_mul(e, jet_recip(_const_jet("2.5")))),
+        (
+            "0.3 * sin(x1) / 7",
+            "sin(x1)",
+            lambda e: jet_mul(jet_mul(_const_jet("0.3"), e), jet_recip(_const_jet("7"))),
+        ),
+        ("x1^2 * 0", "x1^2", lambda e: jet_mul(e, _const_jet("0"))),
+    ],
+)
+def test_constant_factor_and_divisor_are_bitwise_the_jet_products(text, inner, reference):
+    point = pt("0.7", "1.3")
+    got = eval_jet(parse_expression(text, VARS), point, 4, CTX)
+    want = reference(eval_jet(parse_expression(inner, VARS), point, 4, CTX))
+    assert [c._mpf_ for c in got.coeffs.values()] == [c._mpf_ for c in want.coeffs.values()]
+
+
+def test_a_zero_constant_divisor_is_refused():
+    for text in ("x1 / 0", "x1 / 0.0", "(x1 + x2) / 0e5"):
+        with pytest.raises(DivisionByZeroJetError):
+            eval_jet(parse_expression(text, VARS), pt(1, 2), 2, CTX)
 
 
 def test_gradient_refuses_what_the_jet_refuses():

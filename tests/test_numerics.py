@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invseries.errors import (
@@ -10,7 +10,9 @@ from invseries.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
+from invseries.expr import eval_gradient, eval_jet, eval_scalar, parse_problem
 from invseries.numerics import (
+    ELEMENTARY_MEMO_SIZE,
     Context,
     MPMatrix,
     MPVector,
@@ -20,7 +22,7 @@ from invseries.numerics import (
     scalar_from_decimal,
 )
 
-from helpers import identity, mat_mul, max_abs_diff
+from helpers import counting_context, identity, mat_mul, max_abs_diff, reference_lu_invert
 
 CTX = Context(60)
 
@@ -155,8 +157,15 @@ def test_lu_invert_two_by_two(ctx1000):
 def test_lu_invert_singular(ctx1000):
     mp = ctx1000.mp
     m = MPMatrix([[mp.mpf(1), mp.mpf(-1)], [mp.zero, mp.zero]])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match=re.escape("10^-500 ")):
         lu_invert(m, ctx1000)
+
+
+def test_singular_message_names_the_floor_at_odd_precision():
+    ctx = Context(101)
+    m = MPMatrix([[ctx.one, ctx.one], [ctx.one, ctx.one]])
+    with pytest.raises(SingularMatrixError, match=re.escape("below 10^-50.5 of")):
+        lu_invert(m, ctx)
 
 
 @pytest.mark.parametrize("precision, big", [(100, "1e60"), (1000, "1e510")])
@@ -206,6 +215,133 @@ def test_lu_invert_residual_well_conditioned(k, data):
     inv = lu_invert(m, ctx)
     residual = max_abs_diff(mat_mul(m, inv), identity(ctx, k))
     assert residual < ctx.pow10(-ctx.precision + 10)
+
+
+def _inverse_bits(m, ctx, invert):
+    try:
+        inv = invert(m, ctx)
+    except SingularMatrixError:
+        return "singular"
+    return [[x._mpf_ for x in row] for row in inv.entries]
+
+
+@st.composite
+def lu_inputs(draw):
+    """Square matrices of full-mantissa entries and exact zeros, rows scaled
+    by up to 10^±300, some made singular by a zero column or a row that is
+    a power-of-two multiple of another."""
+    n = draw(st.integers(1, 8))
+    ctx = Context(draw(st.integers(16, 1000)))
+    mp = ctx.mp
+    entry = st.one_of(
+        st.just((0, 1)), st.tuples(st.integers(-999, 999), st.integers(1, 999))
+    )
+    pairs = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    scales = draw(st.lists(st.sampled_from([-300, -1, 0, 1, 300]), min_size=n, max_size=n))
+    rows = [
+        [mp.mpf(num) / den * ctx.pow10(e) for num, den in row]
+        for row, e in zip(pairs, scales)
+    ]
+    defect = draw(st.sampled_from(["none", "none", "zero column", "dependent row"]))
+    if defect == "zero column":
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[col] = ctx.zero
+    elif defect == "dependent row" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i] = [x * 2 ** draw(st.integers(-3, 3)) for x in rows[j]]
+    return MPMatrix(rows), ctx
+
+
+def _sevenths(rows):
+    return MPMatrix([[CTX.mp.mpf(x) / 7 for x in row] for row in rows]), CTX
+
+
+@given(lu_inputs())
+@example(_sevenths([[0, 1], [1, 0]]))
+@example(_sevenths([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+@settings(max_examples=120)
+def test_lu_invert_is_bitwise_the_plain_lu(inputs):
+    m, ctx = inputs
+    assert _inverse_bits(m, ctx, lu_invert) == _inverse_bits(m, ctx, reference_lu_invert)
+
+
+def _elementary_arguments(mp, kind, sign):
+    pi = +mp.pi
+    arg = {
+        "zero": mp.zero,
+        "tiny": mp.mpf(3) / 7 * mp.mpf(10) ** -300,
+        "huge": mp.mpf(10) ** 300 / 7,
+        "moderate": mp.mpf(22) / 7,
+        "near pi": pi,
+        "near a multiple of pi": 355 * pi,
+        "near pi/2": pi / 2,
+    }[kind]
+    return -arg if sign else arg
+
+
+@given(
+    precision=st.integers(16, 1000),
+    kind=st.sampled_from(
+        ["zero", "tiny", "huge", "moderate", "near pi", "near a multiple of pi", "near pi/2"]
+    ),
+    sign=st.booleans(),
+)
+@settings(max_examples=100)
+def test_elementary_memo_is_bitwise_the_direct_call(precision, kind, sign):
+    ctx = Context(precision)
+    mp = ctx.mp
+    for _ in range(2):  # computed, then read back
+        # every function at one argument in one memo: the key tells them apart
+        for fn in ("exp", "log", "sqrt", "sin", "cos"):
+            x = _elementary_arguments(mp, kind, sign and fn not in ("log", "sqrt"))
+            if fn == "exp" and kind == "huge":
+                x = mp.mpf(10) ** 5 / 7 * (-1 if sign else 1)
+            if fn in ("sin", "cos"):
+                cos_x, sin_x = ctx.elementary("cos_sin", x)
+                got = sin_x if fn == "sin" else cos_x
+            else:
+                got = ctx.elementary(fn, x)
+            assert got._mpf_ == getattr(mp, fn)(x)._mpf_
+
+
+def test_repeated_argument_makes_no_new_call():
+    ctx = counting_context(300)
+    problem = parse_problem(
+        "vars: x y\neq: sin(x) + cos(x) * exp(y)\neq: log(y + 2) - sqrt(x + 3) + sin(x)\n"
+        "start: 0.5 0.25\n",
+        ctx,
+    )
+    point = problem.start
+    for _ in range(2):
+        for eq in problem.equations:
+            eval_scalar(eq, point, ctx)
+            eval_gradient(eq, point, ctx)
+            eval_jet(eq, point, 3, ctx)
+    names = [name for name, _ in ctx.mp.calls]
+    assert sorted(names) == ["cos_sin", "exp", "log", "sqrt"]
+    assert len(set(ctx.mp.calls)) == len(ctx.mp.calls)
+
+
+def test_elementary_memo_stays_within_its_bound():
+    ctx = counting_context(16)
+    mp = ctx.mp.mp
+    args = [mp.mpf(i) / 64 for i in range(ELEMENTARY_MEMO_SIZE + 40)]
+    for x in args:
+        assert ctx.elementary("exp", x)._mpf_ == mp.exp(x)._mpf_
+        assert len(ctx._elementary) <= ELEMENTARY_MEMO_SIZE
+    assert len(ctx.mp.calls) == len(args)
+
+
+def test_contexts_of_one_precision_share_no_memo_entries():
+    a, b = Context(50), counting_context(50)
+    assert a.mp is b.mp.mp
+    x = a.mp.mpf(1) / 3
+    a.elementary("exp", x)
+    b.elementary("exp", x)
+    b.elementary("exp", x)
+    assert b.mp.calls == [("exp", x._mpf_)]
+    assert a._elementary is not b._elementary
 
 
 def test_norm_inf_examples(ctx1000):

@@ -32,12 +32,27 @@ start: -0.5625 1.25 1.8125 -1.375 -0.8125 -0.5625 -0.0625 1.8125
 root: -1 0.75 1.5 -1.25 -0.5 -1.0625 0.4375 1.5
 """
 
+# every elementary function, the same sin/cos argument twice across
+# equations, a non-constant and a constant divisor, a constant factor on
+# either side, and a cube
+MIXED_3 = """\
+vars: x y z
+eq: log(x + 2) + sin(y) - 0.5*z^3 - 1
+eq: sqrt(y + 3) - cos(x)*1.5 + z/(x + 4) - 0.25
+eq: exp(z) - 2*x + y/4 + cos(y) - 1.5
+start: 0.25 0.5 0.25
+"""
+
 DIGESTS = {
     ("incas-3var", 1000, 2): "cd85c5176325dee42bf09cc40a4a44cf17417f5533a72e1225ca2bfd84ed829c",
     ("incas-3var", 1000, 3): "680f15b14ec1b7259cadb1537a0b670ac912a7c967eb46ab9f04f3ac840c79c9",
     ("incas-3var", 1000, 4): "c6746e5fc172eab66e682f0739364ba866dab3a533a6a4f0c9040b0dc037ea49",
     ("incas-3var", 1000, 5): "f5f6db3e1eb651364594b488be5bc1621fef32dc6364a17bd04f76c44f85cb5a",
     ("incas-3var", 1000, 6): "25ec9971abf0da787f29f89691f76a34148fe3991d35de58760ebb5dffdddeb9",
+    ("mixed-3", 300, 2): "acc70cca1a8bc25d4bf7cad3dbd252683094e9a3528fcd03918576706e98092a",
+    ("mixed-3", 300, 3): "462ac4cbe47baab955b98935b0de1553e630be72007b682c9be038f406ed8ab7",
+    ("mixed-3", 300, 4): "32818b6ff9f90f6af3d4197efec8b0c2e8b17c429f24ad7aa6f7558d81f4eb84",
+    ("mixed-3", 300, 5): "728de4f26c539ecd1fca4254eff8a99bf76defaeeb3bb6b91086254b7c14a8d9",
     ("synthetic-8", 300, 2): "b99ccb4929144189dd3fd4d800ed2db3553f090ece56dd482c81025f6d763c42",
     ("synthetic-8", 300, 3): "37e75d398fa5d76273559bad2cc2991ed0306ca766aa9fcee30782c301a36d04",
     ("synthetic-8", 300, 4): "3690d24905a75007f9098c2fe6ede657f1f2a2a917f6dfed4ab60d3d80609981",
@@ -64,6 +79,8 @@ def trace_digest(trace) -> str:
 def _problem(name, ctx):
     if name == "synthetic-8":
         return parse_problem(SYNTHETIC_8, ctx)
+    if name == "mixed-3":
+        return parse_problem(MIXED_3, ctx)
     return builtin_problem(name, ctx)
 
 

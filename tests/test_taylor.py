@@ -21,13 +21,14 @@ from invseries.taylor import (
     jet_partial,
     jet_pow_int,
     jet_recip,
+    jet_scale,
     jet_sub,
     jet_var,
     multi_indices,
     univariate_series,
 )
 
-from helpers import derivative_tensor, max_coeff_diff, schoolbook_jet_mul
+from helpers import counting_context, derivative_tensor, max_coeff_diff, schoolbook_jet_mul
 
 CTX = Context(60)
 TOL = CTX.pow10(-CTX.precision + 15)
@@ -197,24 +198,6 @@ def test_compose_trig_values():
     assert max_coeff_diff(unit, jet_constant(CTX, 1, 1, 3)) < TOL
 
 
-class _CountingMP:
-    """An mpmath context that records its sin, cos and cos_sin calls."""
-
-    def __init__(self, mp):
-        self.mp, self.calls = mp, []
-
-    def __getattr__(self, name):
-        attr = getattr(self.mp, name)
-        if name not in ("sin", "cos", "cos_sin"):
-            return attr
-
-        def counted(x):
-            self.calls.append(name)
-            return attr(x)
-
-        return counted
-
-
 def sparse_jets(nvars, degree):
     """Jets with full-mantissa coefficients and exact zeros mixed in."""
     size = len(multi_indices(nvars, degree))
@@ -241,6 +224,23 @@ def test_jet_mul_is_bitwise_the_schoolbook_product(data):
     twin = TaylorPoly(CTX, nvars, degree, dict(a.coeffs))  # equal, not identical
     for x, y in ((a, b), (b, a), (a, a), (a, twin)):
         assert _bits(jet_mul(x, y)) == _bits(schoolbook_jet_mul(x, y))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_jet_scale_is_bitwise_the_product_with_a_constant_jet(data):
+    nvars = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(0, 5))
+    a = data.draw(sparse_jets(nvars, degree))
+    num, den = data.draw(st.tuples(st.integers(-999, 999), st.integers(1, 999)))
+    s = CTX.mp.mpf(num) / den
+    constant = jet_constant(CTX, s, nvars, degree)
+    before = _bits(a)
+    assert _bits(jet_scale(a, s)) == _bits(jet_mul(constant, a)) == _bits(jet_mul(a, constant))
+    # a constant divisor: jet_recip of a constant jet is the constant 1/s
+    if s:
+        assert _bits(jet_recip(constant)) == _bits(jet_constant(CTX, CTX.mp.mpf(1) / s, nvars, degree))
+    assert _bits(a) == before
 
 
 def test_pow_int_is_bitwise_the_powering_from_one():
@@ -274,7 +274,7 @@ def test_composition_is_bitwise_the_schoolbook_horner(fn):
     x = jet_var(CTX, 0, CTX.mp.mpf("0.7"), 2, 4)
     a = jet_add(x, jet_mul(x, jet_var(CTX, 1, CTX.mp.mpf("0.3"), 2, 4)))
     before = _bits(a)
-    series = univariate_series(fn, a.value(), 4, CTX.mp)
+    series = univariate_series(fn, a.value(), 4, CTX)
     assert _bits(jet_compose_univariate(fn, a)) == _bits(_schoolbook_compose(series, a))
     inv = [CTX.one / a.value()]
     for _ in range(4):
@@ -287,9 +287,12 @@ def test_composition_is_bitwise_the_schoolbook_horner(fn):
 def test_trig_series_calls_sin_and_cos_once(fn):
     mp = CTX.mp
     c = mp.mpf("0.3")
-    counting = _CountingMP(mp)
-    series = univariate_series(fn, c, 7, counting)
-    assert counting.calls == ["cos_sin"]
+    ctx = counting_context(CTX.precision)
+    series = univariate_series(fn, c, 7, ctx)
+    # the other function and a lower degree at the same point reuse it
+    univariate_series("cos" if fn == "sin" else "sin", c, 3, ctx)
+    univariate_series(fn, c, 1, ctx)
+    assert ctx.mp.calls == [("cos_sin", c._mpf_)]
     sin_c, cos_c = mp.sin(c), mp.cos(c)
     cycle = [sin_c, cos_c, -sin_c, -cos_c] * 3
     start = 0 if fn == "sin" else 1
