@@ -39,9 +39,9 @@ class OrderEstimate:
         )
 
 
-def estimator_window(ctx, precision):
+def estimator_window(ctx):
     """(lower, upper) magnitude bounds of the usable window; empty at low precision."""
-    return ctx.pow10(-precision + 100), ctx.mp.mpf("1e-2")
+    return ctx.pow10(-ctx.precision + 100), ctx.mp.mpf("1e-2")
 
 
 def _log_ratio(ctx, a, b) -> float:
@@ -61,7 +61,7 @@ def nearest_root(problem, x: MPVector) -> MPVector:
 def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEstimate:
     """Per-iteration p = log e(n+1) / log e(n) on distances to a known root."""
     ctx = trace.problem.context
-    lower, upper = estimator_window(ctx, trace.precision)
+    lower, upper = estimator_window(ctx)
     root_residual = norm_inf(evaluate_system(trace.problem, root))
     if not root_residual < lower:
         raise ValueError(
@@ -89,7 +89,7 @@ def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEst
 def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
     """Root-free estimate from step norms: log(s(n+1)/s(n)) / log(s(n)/s(n-1))."""
     ctx = trace.problem.context
-    lower, upper = estimator_window(ctx, trace.precision)
+    lower, upper = estimator_window(ctx)
     steps = trace.step_norms()
     if len(steps) < 4:
         raise InsufficientDataError(f"only {len(steps)} steps recorded (need 4)")
@@ -124,7 +124,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
     k = spec.order
     root = nearest_root(problem, trace.rows[-1].x)
     deltas = [norm_inf(row.x.sub(root)) for row in trace.rows]
-    lower, upper = estimator_window(ctx, trace.precision)
+    lower, upper = estimator_window(ctx)
 
     anchors = [
         n
@@ -150,6 +150,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
 
 
 TABLE_FORMATS = ("markdown", "csv", "json")
+SOLUTION_DIGITS = 50
 _STEP_DIGITS = 10
 
 
@@ -175,7 +176,9 @@ def _cells(trace: IterationTrace, sig_digits: int):
     return header, body
 
 
-def render_table(trace: IterationTrace, sig_digits: int = 50, format: str = "markdown") -> str:
+def render_table(
+    trace: IterationTrace, sig_digits: int = SOLUTION_DIGITS, format: str = "markdown"
+) -> str:
     """Deterministic text table of a trace.
 
     Solution columns carry ``sig_digits`` significant digits and the step,

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    SOLUTION_DIGITS,
     TABLE_FORMATS,
     estimate_order_known_root,
     estimate_order_successive,
@@ -21,7 +22,7 @@ from .analysis import (
 from .corpus import BUILTIN_NAMES, builtin_problem
 from .errors import InsufficientDataError, InvseriesError
 from .expr import parse_problem
-from .numerics import Context, format_scalar
+from .numerics import DEFAULT_PRECISION, Context, format_scalar
 from .solver import SolveConfig, Status, solve
 
 _STATUS_EXIT = {
@@ -45,8 +46,8 @@ def _add_problem_flags(p):
 
 
 def _add_solve_flags(p):
-    p.add_argument("--precision", type=int, default=1000, metavar="DIGITS")
-    p.add_argument("--max-iters", type=int, default=30, metavar="N")
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION, metavar="DIGITS")
+    p.add_argument("--max-iters", type=int, default=SolveConfig.max_iters, metavar="N")
     p.add_argument("--tol", default=None, metavar="X", help="step-norm stop threshold")
 
 
@@ -63,13 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solve_flags(p_solve)
     p_solve.add_argument("--format", choices=TABLE_FORMATS, default="markdown")
     p_solve.add_argument(
-        "--digits", type=int, default=50, metavar="N", help="solution display digits"
+        "--digits", type=int, default=SOLUTION_DIGITS, metavar="N",
+        help="solution display digits",
     )
 
     p_tables = sub.add_parser(
         "tables", help="write benchmark traces for orders 2-5 as markdown files"
     )
-    p_tables.add_argument("--precision", type=int, default=1000, metavar="DIGITS")
+    p_tables.add_argument(
+        "--precision", type=int, default=DEFAULT_PRECISION, metavar="DIGITS"
+    )
     p_tables.add_argument("--out-dir", default="tables", metavar="DIR")
 
     p_check = sub.add_parser(
@@ -99,6 +103,8 @@ def _config(args, order: int) -> SolveConfig:
 
 
 def cmd_solve(args) -> int:
+    if args.digits < 1:
+        raise ValueError(f"--digits must be positive, got {args.digits}")
     config = _config(args, args.order)
     ctx = Context(args.precision)
     problem = _load_problem(args, ctx)
@@ -118,7 +124,7 @@ def cmd_tables(args) -> int:
         config = SolveConfig(order=order, precision=args.precision)
         trace = solve(problem, config)
         path = out_dir / f"table_order{order}.md"
-        path.write_text(render_table(trace, 50, "markdown") + "\n", encoding="utf-8")
+        path.write_text(render_table(trace) + "\n", encoding="utf-8")
         print(f"wrote {path}")
     return 0
 
@@ -133,7 +139,7 @@ def cmd_order_check(args) -> int:
     # every config is validated before anything is printed
     configs = [_config(args, order) for order in orders]
     ctx = Context(args.precision)
-    lower, upper = estimator_window(ctx, args.precision)
+    lower, upper = estimator_window(ctx)
     if not lower < upper:
         raise ValueError(
             f"--precision {args.precision} is too low to estimate orders: the usable "

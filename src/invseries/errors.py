@@ -18,7 +18,7 @@ class SingularMatrixError(InvseriesError):
 
 
 class DivisionByZeroJetError(InvseriesError, ZeroDivisionError):
-    """Reciprocal of a jet whose constant term is zero."""
+    """A division by an exact zero, in any evaluator."""
 
 
 class DomainError(InvseriesError, ValueError):

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
-    DivisionByZeroJetError,
-    DomainError,
     MalformedDecimalError,
     NonSquareSystemError,
     ParseError,
@@ -40,6 +38,8 @@ from .errors import (
 from .numerics import Context, MPVector, scalar_from_decimal
 from .taylor import (
     TaylorPoly,
+    binary_power,
+    checked_divisor,
     jet_add,
     jet_compose_univariate,
     jet_constant,
@@ -336,9 +336,8 @@ def parse_problem(text: str, ctx: Context) -> Problem:
 def eval_scalar(e: Expr, point: MPVector, ctx: Context):
     """Evaluate an expression at a point at working precision.
 
-    Elementary functions go through ``ctx.elementary``, so the Jacobian
-    and the path sweeps at the same point reuse them; sin and cos are
-    read from one ``cos_sin``.
+    A quotient is a/b.  Its zero check and the elementary functions come
+    from ``taylor``, as in the Jacobian and the sweeps at the same point.
     """
     if isinstance(e, Const):
         return ctx.const(e.text)
@@ -355,29 +354,28 @@ def eval_scalar(e: Expr, point: MPVector, ctx: Context):
             return left - right
         if e.op == "*":
             return left * right
-        if right == 0:
-            raise ZeroDivisionError("division by zero")
-        return left / right
+        return left / checked_divisor(right)
     if isinstance(e, Power):
         return eval_scalar(e.base, point, ctx) ** e.exponent
     if isinstance(e, Call):
-        arg = eval_scalar(e.arg, point, ctx)
-        if e.fn in ("sin", "cos"):
-            cos_arg, sin_arg = ctx.elementary("cos_sin", arg)
-            return sin_arg if e.fn == "sin" else cos_arg
-        if e.fn in ("log", "sqrt") and arg <= 0:
-            raise DomainError(f"{e.fn} of a non-positive value")
-        return ctx.elementary(e.fn, arg)
+        return univariate_series(e.fn, eval_scalar(e.arg, point, ctx), 0, ctx)[0]
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _is_literal(node) -> bool:
+    """``Const`` or ``Neg(Const)``: a signed literal, valued without a point."""
+    if isinstance(node, Neg):
+        node = node.arg
+    return isinstance(node, Const)
 
 
 def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     """Jet of an expression whose variable ``i`` is the jet ``seeds[i]``.
 
     Every seed has the same number of variables and degree, and so does
-    every intermediate jet.  A constant factor or divisor c scales by c
-    or 1/c (``jet_scale``), bit for bit the product with c's constant jet
-    or with its ``jet_recip``.
+    every intermediate jet.  A literal factor or divisor c (-c included)
+    scales by c or by 1/c from the ``recip`` series (``jet_scale``), bit
+    for bit the product with c's constant jet or with its ``jet_recip``.
     """
     nvars, max_degree = seeds[0].nvars, seeds[0].max_degree
 
@@ -389,16 +387,13 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
         if isinstance(node, Neg):
             return jet_neg(rec(node.arg))
         if isinstance(node, BinOp):
-            if node.op in "*/" and isinstance(node.right, Const):
-                left, c = rec(node.left), ctx.const(node.right.text)
-                if node.op == "*":
-                    return jet_scale(left, c)
-                if c == 0:
-                    raise DivisionByZeroJetError("jet constant term is zero")
-                # what jet_recip gives a constant jet
-                return jet_scale(left, ctx.mp.mpf(1) / c)
-            if node.op == "*" and isinstance(node.left, Const):
-                return jet_scale(rec(node.right), ctx.const(node.left.text))
+            if node.op in "*/" and _is_literal(node.right):
+                left, c = rec(node.left), eval_scalar(node.right, None, ctx)
+                if node.op == "/":
+                    c = univariate_series("recip", c, 0, ctx)[0]
+                return jet_scale(left, c)
+            if node.op == "*" and _is_literal(node.left):
+                return jet_scale(rec(node.right), eval_scalar(node.left, None, ctx))
             left, right = rec(node.left), rec(node.right)
             if node.op == "+":
                 return jet_add(left, right)
@@ -424,8 +419,8 @@ def nonlinear_part(e: Expr) -> Expr | None:
     leaves a value's bits unchanged (0 - y is -y exactly).  So the top
     coefficient of ``eval_jet_at(nonlinear_part(e), ...)`` is bit for bit
     that of ``e``.  The transform descends only through +, -, unary minus,
-    a constant factor and a constant divisor, which read the top
-    coefficient alone; every other product, quotient, power and call
+    a literal factor and a literal divisor (``_is_literal``), which read
+    the top coefficient alone; every other product, quotient, power and call
     needs its operands' lower coefficients and is kept whole.
     """
     if isinstance(e, (Const, Var)):
@@ -441,10 +436,10 @@ def nonlinear_part(e: Expr) -> Expr | None:
             if left is None:
                 return right if e.op == "+" else Neg(right)
             return BinOp(e.op, left, right)
-        if e.op == "*" and isinstance(e.left, Const):
+        if e.op == "*" and _is_literal(e.left):
             inner = nonlinear_part(e.right)
             return None if inner is None else BinOp("*", e.left, inner)
-        if isinstance(e.right, Const):
+        if _is_literal(e.right):
             inner = nonlinear_part(e.left)
             return None if inner is None else BinOp(e.op, inner, e.right)
         return e
@@ -487,8 +482,9 @@ def _grad_mul(a, b):
     return a0 * b0, grad
 
 
-def _grad_scale(s0, s1, a):
-    """Composition with a function whose series at a's value starts s0 + s1·t."""
+def _grad_compose(fn, a, ctx):
+    """``fn`` (a ``univariate_series`` name) of a: s0, and s1·a_i per partial."""
+    s0, s1 = univariate_series(fn, a[0], 1, ctx)
     return s0, {i: s1 * ai for i, ai in a[1].items()}
 
 
@@ -498,10 +494,10 @@ def eval_gradient(e: Expr, point: MPVector, ctx: Context):
     Returns ``(value, grad)`` where ``grad`` maps a variable index to its
     partial; a constant subtree has no entries.  Every operation replays
     the degree-1 jet arithmetic of ``eval_jet``, so value and partials are
-    bit for bit the jet's: products sum a0·b_i + a_i·b0, a quotient is
-    a·(1/b) (not ``eval_scalar``'s a/b), ``^`` is ``jet_pow_int``'s binary
-    exponentiation, and elementary functions take s0 and s1 from
-    ``taylor.univariate_series``.
+    bit for bit the jet's.  Its own rule is the sparse product sum
+    a0·b_i + a_i·b0; the rest is ``taylor``'s: a quotient is a·(1/b)
+    (not ``eval_scalar``'s a/b) and a call is s0 + s1·t, both from
+    ``univariate_series``, and ``^`` is ``binary_power``.
     """
     mp = ctx.mp
     xs = [mp.mpf(x) for x in point]
@@ -522,26 +518,14 @@ def eval_gradient(e: Expr, point: MPVector, ctx: Context):
                 return _grad_sum(left, right, operator.sub)
             if node.op == "*":
                 return _grad_mul(left, right)
-            b0 = right[0]
-            if b0 == 0:
-                raise DivisionByZeroJetError("jet constant term is zero")
-            r = ctx.one / b0
-            return _grad_mul(left, _grad_scale(r, -r * r, right))
+            return _grad_mul(left, _grad_compose("recip", right, ctx))
         if isinstance(node, Power):
-            base = rec(node.base)
-            result = (ctx.one, {})
-            exponent = node.exponent
-            while exponent:
-                if exponent & 1:
-                    result = _grad_mul(result, base)
-                exponent >>= 1
-                if exponent:
-                    base = _grad_mul(base, base)
-            return result
+            base = rec(node.base)  # evaluated under ^0 too, for its errors
+            if node.exponent == 0:
+                return ctx.one, {}
+            return binary_power(base, node.exponent, _grad_mul)
         if isinstance(node, Call):
-            arg = rec(node.arg)
-            s0, s1 = univariate_series(node.fn, arg[0], 1, ctx)
-            return _grad_scale(s0, s1, arg)
+            return _grad_compose(node.fn, rec(node.arg), ctx)
         raise TypeError(f"not an expression node: {node!r}")
 
     return rec(e)

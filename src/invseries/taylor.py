@@ -5,16 +5,16 @@ point up to a total degree, using the coefficient convention
 ``coeff(alpha) = (mixed partial of order alpha) / alpha!`` so that
 multiplication is a plain truncated convolution.  Propagating jets through
 an expression yields exact derivatives of any order, which is what feeds
-the scheme builder.  ``univariate_series`` gives the Taylor coefficients
-of each elementary function, shared with the gradient evaluator.
+the scheme builder.  ``univariate_series`` (elementary functions and the
+reciprocal) and ``binary_power`` serve every evaluator in ``expr``.
 
 ``jet_mul`` skips only work whose result is exact, so every coefficient
 keeps the bits of the schoolbook convolution (every nonzero product
 added, in the same order, to an exact 0): it walks a cached table of
 coefficient positions, takes each output's first product as its value
 rather than adding it to 0, and computes the mirror products a_i·a_j and
-a_j·a_i of a square once.  ``jet_pow_int`` starts from the base, not from
-1·base, Horner composition adds each series coefficient to the
+a_j·a_i of a square once.  ``binary_power`` starts from the base, not
+from 1·base, Horner composition adds each series coefficient to the
 constant term alone, and a product with a constant jet is a
 ``jet_scale``.
 """
@@ -253,59 +253,64 @@ def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
 
 
 def jet_recip(a: TaylorPoly) -> TaylorPoly:
-    """Multiplicative inverse truncated to max_degree."""
-    c = a.value()
-    if c == 0:
-        raise DivisionByZeroJetError("jet constant term is zero")
-    mp = a.ctx.mp
-    inv_c = mp.mpf(1) / c
-    series = [inv_c]
-    for _ in range(a.max_degree):
-        series.append(-series[-1] * inv_c)
-    return _compose_series(series, a)
+    """Multiplicative inverse truncated to max_degree (the ``recip`` series)."""
+    return jet_compose_univariate("recip", a)
+
+
+def binary_power(a, n: int, mul):
+    """a^n for n >= 1 under the product ``mul``, starting from a, not 1·a."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else mul(result, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return result
 
 
 def jet_pow_int(a: TaylorPoly, exponent: int) -> TaylorPoly:
-    """Non-negative integer power by binary exponentiation (exact, total)."""
+    """Non-negative integer power: ``binary_power`` under ``jet_mul``."""
     if not isinstance(exponent, int) or exponent < 0:
         raise DomainError(f"integer power needs a non-negative exponent, got {exponent}")
     if exponent == 0:
         return jet_constant(a.ctx, a.ctx.one, a.nvars, a.max_degree)
-    result = None  # stands for the exact 1 that 1·base would multiply by
-    base = a
-    e = exponent
-    while e:
-        if e & 1:
-            result = base if result is None else jet_mul(result, base)
-        e >>= 1
-        if e:
-            base = jet_mul(base, base)
-    return result
+    return binary_power(a, exponent, jet_mul)
+
+
+def checked_divisor(c):
+    """``c``; the zero check of every division, here and in ``expr``."""
+    if c == 0:
+        raise DivisionByZeroJetError("division by zero")
+    return c
 
 
 def univariate_series(fn: str, c, d: int, ctx: Context) -> list:
-    """Taylor coefficients s_0..s_d of ``fn`` (exp, log, sqrt, sin, cos) at ``c``.
+    """Taylor coefficients s_0..s_d of ``fn`` at ``c``.
 
-    Jet composition and ``expr.eval_gradient`` (which reads s_0 and s_1)
-    both take their coefficients from here, so the two agree bit for bit.
-    s_0 (and, for sin and cos, the whole cycle) comes from
-    ``ctx.elementary``, so ``eval_scalar``, the gradient and every sweep
-    at one point evaluate each function once per argument; the sin/cos
-    cycle is built from one ``cos_sin``.
+    ``fn`` is exp, log, sqrt, sin, cos or recip (1/t).  ``eval_scalar``
+    reads s_0 (the exact s_0/0!), ``eval_gradient`` s_0 and s_1 and jet
+    composition all, so the three raise the same errors and agree bit
+    for bit.  s_0 (for sin and cos, the cycle from one ``cos_sin``) comes
+    from ``ctx.elementary``: one evaluation per argument and Context.
     """
+    if fn == "recip":
+        inv_c = ctx.one / checked_divisor(c)
+        series = [inv_c]
+        for _ in range(d):
+            series.append(-series[-1] * inv_c)
+        return series
+    if fn in ("log", "sqrt") and c <= 0:
+        raise DomainError(f"{fn} of a non-positive value")
     if fn == "exp":
         ec = ctx.elementary("exp", c)
         return [ec / math.factorial(k) for k in range(d + 1)]
     if fn == "log":
-        if c <= 0:
-            raise DomainError("log of a jet needs a positive constant term")
         series = [ctx.elementary("log", c)]
         for k in range(1, d + 1):
             series.append((-1) ** (k - 1) / (k * c**k))
         return series
     if fn == "sqrt":
-        if c <= 0:
-            raise DomainError("sqrt of a jet needs a positive constant term")
         series = [ctx.elementary("sqrt", c)]
         for k in range(1, d + 1):
             # ratio of consecutive binomial-series coefficients of c^(1/2)
@@ -320,7 +325,7 @@ def univariate_series(fn: str, c, d: int, ctx: Context) -> list:
 
 
 def jet_compose_univariate(fn: str, a: TaylorPoly) -> TaylorPoly:
-    """Jet of ``fn`` (one of exp, log, sqrt, sin, cos) applied to ``a``.
+    """Jet of ``fn`` (exp, log, sqrt, sin, cos or recip) applied to ``a``.
 
     The univariate Taylor coefficients of ``fn`` at the constant term feed a
     Horner composition with ``a - const``.  Integer powers are not series

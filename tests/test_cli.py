@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from invseries import cli
 from invseries.cli import main
 
 DIVERGENT = "vars: x\neq: 1/x - 0.5\nstart: 5\n"
@@ -91,6 +92,18 @@ def test_zero_denominator_at_the_start_exits_1_without_traceback(capsys, tmp_pat
     assert code == 1
     assert out == ""
     assert err == "error: iteration 0: division by zero\n"
+
+
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_solve_rejects_bad_digits_before_solving(capsys, monkeypatch, digits):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before --digits was checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code, out, err = run(capsys, "solve", "--builtin", "incas-2var", "--digits", digits)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --digits must be positive, got {digits}\n"
 
 
 def test_divergent_exit_code(capsys, tmp_path):

@@ -26,7 +26,14 @@ from invseries.expr import (
     parse_problem,
 )
 from invseries.numerics import Context, MPVector
-from invseries.taylor import TaylorPoly, jet_constant, jet_mul, jet_recip, multi_indices
+from invseries.taylor import (
+    TaylorPoly,
+    jet_constant,
+    jet_mul,
+    jet_neg,
+    jet_recip,
+    multi_indices,
+)
 
 from helpers import derivative_tensor
 
@@ -214,6 +221,12 @@ def _const_jet(text):
             lambda e: jet_mul(jet_mul(_const_jet("0.3"), e), jet_recip(_const_jet("7"))),
         ),
         ("x1^2 * 0", "x1^2", lambda e: jet_mul(e, _const_jet("0"))),
+        ("-2.5 * (x1*x2)", "x1*x2", lambda e: jet_mul(jet_neg(_const_jet("2.5")), e)),
+        (
+            "(x1*x2) / -2.5",
+            "x1*x2",
+            lambda e: jet_mul(e, jet_recip(jet_neg(_const_jet("2.5")))),
+        ),
     ],
 )
 def test_constant_factor_and_divisor_are_bitwise_the_jet_products(text, inner, reference):
@@ -230,11 +243,28 @@ def test_a_zero_constant_divisor_is_refused():
 
 
 def test_gradient_refuses_what_the_jet_refuses():
-    with pytest.raises(DivisionByZeroJetError):
-        eval_gradient(parse_expression("x1 / (x2 - 2)", VARS), pt(1, 2), CTX)
-    for text in ("log(x1 - 1)", "sqrt(x1 - 1)"):
-        with pytest.raises(DomainError):
-            eval_gradient(parse_expression(text, VARS), pt(1, 2), CTX)
+    """eval_scalar, eval_gradient and eval_jet fail alike: same class, same message."""
+    point = pt(1, 2)
+    evaluators = (
+        lambda e: eval_scalar(e, point, CTX),
+        lambda e: eval_gradient(e, point, CTX),
+        lambda e: eval_jet(e, point, 2, CTX),
+    )
+    cases = [
+        ("x1 / (x2 - 2)", DivisionByZeroJetError, "division by zero"),
+        ("x1 / 0", DivisionByZeroJetError, "division by zero"),
+        ("log(x1 - 1)", DomainError, "log of a non-positive value"),
+        ("sqrt(x1 - 1)", DomainError, "sqrt of a non-positive value"),
+        ("sqrt(-x2)", DomainError, "sqrt of a non-positive value"),
+        ("log(x1 - 3)^0", DomainError, "log of a non-positive value"),
+        ("(x1 / (x2 - 2))^0 + x1", DivisionByZeroJetError, "division by zero"),
+    ]
+    for text, error, message in cases:
+        e = parse_expression(text, VARS)
+        for evaluate in evaluators:
+            with pytest.raises(error) as caught:
+                evaluate(e)
+            assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_nonlinear_part_of_the_two_variable_system():
@@ -258,6 +288,8 @@ def test_nonlinear_part_of_the_two_variable_system():
         ("exp(x1) - x2", "exp(x1)"),
         ("(x1 + 1)*(x2 - 1) + x1", "(x1 + 1)*(x2 - 1)"),
         ("1/(x1 + 2) + x1^2", "1/(x1 + 2) + x1^2"),
+        ("- 0.5*(x1 + 1) + x1*x2", "x1*x2"),
+        ("x1*x2 + x2/-4", "x1*x2"),
     ],
 )
 def test_nonlinear_part_drops_affine_summands(text, expected):
