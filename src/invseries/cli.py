@@ -116,9 +116,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    ctx = Context(args.precision)  # a bad precision fails before --out-dir exists
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ctx = Context(args.precision)
     problem = builtin_problem("incas-2var", ctx)
     for order in (2, 3, 4, 5):
         config = SolveConfig(order=order, precision=args.precision)

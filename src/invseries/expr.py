@@ -27,6 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -109,6 +110,11 @@ class Problem:
     @property
     def nvars(self) -> int:
         return len(self.var_names)
+
+    @cached_property
+    def nonlinear_parts(self) -> tuple:
+        """Each equation's ``nonlinear_part``, built once per problem."""
+        return tuple(nonlinear_part(eq) for eq in self.equations)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -457,8 +463,21 @@ def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorP
     return eval_jet_at(e, seeds, ctx)
 
 
-def _grad_sum(a, b, op):
-    """a + b or a - b (``op`` from ``operator``).
+def _times(a, b, one):
+    """a·b; a factor that is ``one`` itself is exact, so the other is taken as it is.
+
+    Every value and partial is rounded to the Context's precision already,
+    so the product with an exact 1 is bit for bit the other factor.
+    """
+    if a is one:
+        return b
+    if b is one:
+        return a
+    return a * b
+
+
+def _grad_sum(a, b, op, need):
+    """a + b or a - b (``op`` from ``operator``); the value only if ``need``.
 
     An absent partial of a is an exact 0, so its sum is b_i or -b_i.
     """
@@ -470,22 +489,69 @@ def _grad_sum(a, b, op):
             grad[i] = op(ai, bi)
         else:
             grad[i] = -bi if op is operator.sub else bi
-    return op(a0, b0), grad
+    return (op(a0, b0) if need else None), grad
 
 
-def _grad_mul(a, b):
+def _grad_mul(a, b, one, need):
     # jet_mul's degree-1 sums: a0·b_i first, then a_i·b0
     (a0, ga), (b0, gb) = a, b
-    grad = {i: a0 * bi for i, bi in gb.items()}
+    grad = {i: _times(a0, bi, one) for i, bi in gb.items()}
     for i, ai in ga.items():
-        grad[i] = grad[i] + ai * b0 if i in grad else ai * b0
-    return a0 * b0, grad
+        prod = _times(ai, b0, one)
+        grad[i] = grad[i] + prod if i in grad else prod
+    return (a0 * b0 if need else None), grad
 
 
 def _grad_compose(fn, a, ctx):
-    """``fn`` (a ``univariate_series`` name) of a: s0, and s1·a_i per partial."""
-    s0, s1 = univariate_series(fn, a[0], 1, ctx)
-    return s0, {i: s1 * ai for i, ai in a[1].items()}
+    """``fn`` (a ``univariate_series`` name) of a: s0, and s1·a_i per partial.
+
+    s1 is computed only when a has partials.
+    """
+    a0, ga = a
+    series = univariate_series(fn, a0, 1 if ga else 0, ctx)
+    return series[0], {i: _times(series[1], ai, ctx.one) for i, ai in ga.items()}
+
+
+def _forward(node, xs, ctx, need):
+    """(value, grad) of a node at the context floats ``xs``, by forward mode.
+
+    The value is computed when ``need`` is set, and otherwise may be None.
+    A summand inherits its caller's ``need``, and so does the other operand
+    of a literal factor or divisor, since a literal has no partials for
+    that value to multiply.  Every other product operand, every divisor
+    and every call argument is valued.  Every node is still visited, and
+    the values whose checks can fail (divisors, call arguments) are all
+    computed, so every error is raised as with every value computed.
+    """
+    if isinstance(node, Const):
+        return ctx.const(node.text), {}
+    if isinstance(node, Var):
+        return xs[node.index], {node.index: ctx.one}
+    if isinstance(node, Neg):
+        a0, ga = _forward(node.arg, xs, ctx, need)
+        return (-a0 if need else None), {i: -ai for i, ai in ga.items()}
+    if isinstance(node, BinOp):
+        if node.op in "+-":
+            op = operator.add if node.op == "+" else operator.sub
+            left = _forward(node.left, xs, ctx, need)
+            return _grad_sum(left, _forward(node.right, xs, ctx, need), op, need)
+        left_need = need if _is_literal(node.right) else True
+        right_need = need if node.op == "*" and _is_literal(node.left) else True
+        left = _forward(node.left, xs, ctx, left_need)
+        right = _forward(node.right, xs, ctx, right_need)
+        if node.op == "/":
+            right = _grad_compose("recip", right, ctx)
+        return _grad_mul(left, right, ctx.one, need)
+    if isinstance(node, Power):
+        n = node.exponent
+        # ^1 is its base; ^0 reads nothing of it but still evaluates it, for its errors
+        base = _forward(node.base, xs, ctx, n > 1 or (n == 1 and need))
+        if n == 0:
+            return ctx.one, {}
+        return binary_power(base, n, lambda a, b: _grad_mul(a, b, ctx.one, True))
+    if isinstance(node, Call):
+        return _grad_compose(node.fn, _forward(node.arg, xs, ctx, True), ctx)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def eval_gradient(e: Expr, point: MPVector, ctx: Context):
@@ -497,38 +563,23 @@ def eval_gradient(e: Expr, point: MPVector, ctx: Context):
     bit for bit the jet's.  Its own rule is the sparse product sum
     a0·b_i + a_i·b0; the rest is ``taylor``'s: a quotient is a·(1/b)
     (not ``eval_scalar``'s a/b) and a call is s0 + s1·t, both from
-    ``univariate_series``, and ``^`` is ``binary_power``.
+    ``univariate_series``, and ``^`` is ``binary_power``.  A factor that
+    is ``ctx.one`` itself, the exact 1 a variable's partial starts from,
+    is not multiplied by: the other factor is taken as it is.
     """
-    mp = ctx.mp
-    xs = [mp.mpf(x) for x in point]
+    return _forward(e, [ctx.mp.mpf(x) for x in point], ctx, True)
 
-    def rec(node):
-        if isinstance(node, Const):
-            return ctx.const(node.text), {}
-        if isinstance(node, Var):
-            return xs[node.index], {node.index: ctx.one}
-        if isinstance(node, Neg):
-            a0, ga = rec(node.arg)
-            return -a0, {i: -ai for i, ai in ga.items()}
-        if isinstance(node, BinOp):
-            left, right = rec(node.left), rec(node.right)
-            if node.op == "+":
-                return _grad_sum(left, right, operator.add)
-            if node.op == "-":
-                return _grad_sum(left, right, operator.sub)
-            if node.op == "*":
-                return _grad_mul(left, right)
-            return _grad_mul(left, _grad_compose("recip", right, ctx))
-        if isinstance(node, Power):
-            base = rec(node.base)  # evaluated under ^0 too, for its errors
-            if node.exponent == 0:
-                return ctx.one, {}
-            return binary_power(base, node.exponent, _grad_mul)
-        if isinstance(node, Call):
-            return _grad_compose(node.fn, rec(node.arg), ctx)
-        raise TypeError(f"not an expression node: {node!r}")
 
-    return rec(e)
+def eval_partials(e: Expr, xs, ctx: Context) -> dict:
+    """``eval_gradient``'s partials alone, at the context floats ``xs``.
+
+    Only the values the partials read are computed: a value is read by a
+    product whose other operand is not a literal, by a divisor, a powered
+    base and a call's argument.  So the affine summands of an equation
+    give their partials without their values.  The partials keep
+    ``eval_gradient``'s bits, and the errors its class and message.
+    """
+    return _forward(e, xs, ctx, False)[1]
 
 
 # --- pretty printing ---------------------------------------------------------

@@ -6,7 +6,7 @@ the local inverse of f.  These terms are the Taylor coefficients x_p of
 the path x(t) that solves f(x(t)) = f(x) + t·v, so they are built from
 one LU of the Jacobian and one univariate jet sweep of f per
 coefficient; no tensor and no series of the inverse is formed.
-The Jacobian comes from the forward-mode ``eval_gradient``.  Jet
+The Jacobian comes from forward mode (``eval_partials``).  Jet
 arithmetic makes every coefficient exact series algebra, so no
 closed-form derivative-of-inverse formulas are needed at any order.
 
@@ -24,11 +24,10 @@ from operator import add, mul
 from .errors import SchemeSizeError, ShapeMismatchError
 from .expr import (
     Problem,
-    eval_gradient,
     eval_jet,
     eval_jet_at,
+    eval_partials,
     eval_scalar,
-    nonlinear_part,
 )
 from .numerics import MPMatrix, MPVector, lu_invert
 from .taylor import (
@@ -100,13 +99,16 @@ class SeriesMatrix:
 def jacobian(problem: Problem, point: MPVector) -> MPMatrix:
     """Entry (j, i) is the partial of equation j along variable i at a point.
 
-    Built by ``eval_gradient``, it is bit for bit
-    ``jacobian_series(problem, point, 0).constant_matrix()``.
+    Built by ``eval_partials``, which computes only the values the
+    partials read, it is bit for bit
+    ``jacobian_series(problem, point, 0).constant_matrix()`` and raises
+    what ``eval_gradient`` raises at the point.
     """
     ctx = problem.context
+    xs = [ctx.mp.mpf(x) for x in point]
     rows = []
     for eq in problem.equations:
-        grad = eval_gradient(eq, point, ctx)[1]
+        grad = eval_partials(eq, xs, ctx)
         rows.append([grad.get(i, ctx.zero) for i in range(problem.nvars)])
     return MPMatrix(rows)
 
@@ -188,10 +190,10 @@ def build_terms(
     c_p is that coefficient of f along the path known so far (x_p left 0),
     one univariate jet sweep of degree p.  So x_p = -J^-1·c_p, and one LU
     of J serves every p.  The sweep runs over each equation's
-    ``nonlinear_part`` only: its affine summands add exact zeros to c_p,
-    and an affine equation has c_p = 0 without a sweep.  Every error the
-    full trees could raise there, ``jacobian`` raises first at the same
-    point.
+    ``nonlinear_part`` only (``Problem.nonlinear_parts``, built once per
+    problem): its affine summands add exact zeros to c_p, and an affine
+    equation has c_p = 0 without a sweep.  Every error the full trees
+    could raise there, ``jacobian`` raises first at the same point.
     """
     n = problem.nvars
     if n > MAX_VARS:
@@ -202,7 +204,7 @@ def build_terms(
     m = spec.terms if terms is None else terms
     X0 = lu_invert(jacobian(problem, point), ctx)
     path = [list(point), _mat_vec(X0, direction)]
-    parts = [nonlinear_part(eq) for eq in problem.equations] if m >= 2 else []
+    parts = problem.nonlinear_parts if m >= 2 else ()
     for p in range(2, m + 1):
         keys = multi_indices(1, p)
         seeds = [

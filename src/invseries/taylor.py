@@ -285,14 +285,21 @@ def checked_divisor(c):
     return c
 
 
+def _over_factorial(v, k: int):
+    """v / k!, where the division by 0! = 1! = 1 is exact and skipped."""
+    return v if k < 2 else v / math.factorial(k)
+
+
 def univariate_series(fn: str, c, d: int, ctx: Context) -> list:
     """Taylor coefficients s_0..s_d of ``fn`` at ``c``.
 
     ``fn`` is exp, log, sqrt, sin, cos or recip (1/t).  ``eval_scalar``
-    reads s_0 (the exact s_0/0!), ``eval_gradient`` s_0 and s_1 and jet
-    composition all, so the three raise the same errors and agree bit
-    for bit.  s_0 (for sin and cos, the cycle from one ``cos_sin``) comes
-    from ``ctx.elementary``: one evaluation per argument and Context.
+    reads s_0, ``eval_gradient`` s_0 and s_1 and jet composition all, so
+    the three raise the same errors and agree bit for bit.  s_0 (for sin
+    and cos, the cycle from one ``cos_sin``) comes from ``ctx.elementary``:
+    one evaluation per argument and Context.  Only work that changes a bit
+    is done: s_0 and s_1 are not divided by 0! and 1!, and sin and cos
+    negate only the cycle entries up to degree d.
     """
     if fn == "recip":
         inv_c = ctx.one / checked_divisor(c)
@@ -304,7 +311,7 @@ def univariate_series(fn: str, c, d: int, ctx: Context) -> list:
         raise DomainError(f"{fn} of a non-positive value")
     if fn == "exp":
         ec = ctx.elementary("exp", c)
-        return [ec / math.factorial(k) for k in range(d + 1)]
+        return [_over_factorial(ec, k) for k in range(d + 1)]
     if fn == "log":
         series = [ctx.elementary("log", c)]
         for k in range(1, d + 1):
@@ -318,9 +325,11 @@ def univariate_series(fn: str, c, d: int, ctx: Context) -> list:
         return series
     if fn in ("sin", "cos"):
         cos_c, sin_c = ctx.elementary("cos_sin", c)
-        cycle = [sin_c, cos_c, -sin_c, -cos_c]
         shift = 0 if fn == "sin" else 1  # cos starts one derivative later
-        return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(d + 1)]
+        cycle = [sin_c, cos_c]
+        # the negated half, as far as degree d reads it
+        cycle += [-v for v in cycle[: max(0, d + shift - 1)]]
+        return [_over_factorial(cycle[(k + shift) % 4], k) for k in range(d + 1)]
     raise DomainError(f"unsupported elementary function: {fn!r}")
 
 

@@ -156,6 +156,13 @@ def test_tables_unwritable_dir(capsys):
     assert code == 1
 
 
+def test_tables_bad_precision_leaves_no_out_dir(capsys, tmp_path):
+    out_dir = tmp_path / "d"
+    assert main(["tables", "--precision", "10", "--out-dir", str(out_dir)]) == 1
+    assert "precision" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_order_check_passes_on_reference_orders(capsys):
     code, out, _ = run(
         capsys,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invseries import scheme
+from invseries import expr, scheme
 from invseries.corpus import BUILTIN_NAMES, builtin_problem
 from invseries.errors import (
     DivisionByZeroJetError,
@@ -474,9 +474,23 @@ def _bits(values):
     return [v._mpf_ for v in values]
 
 
+# literal operands whose other side the Jacobian no longer values: a
+# literal factor on either side, a literal divisor, a negated literal, the
+# unit literal, and ^0 and ^1 of an affine base
+LITERAL_OPERANDS = (
+    "vars: x1 x2 x3\n"
+    "eq: 70*x1 + (x2 - 0.3)*2.5 + 1.5*(x1*x3 - x2) - (x3 + x1)/3\n"
+    "eq: -0.7*(x1 - x2) + 70*x2 + 1*(x2*x3 - 1) + (x1 - 2*x3)^1\n"
+    "eq: 70*x3 + (x1 + x2)^0 - 2*(x1 - 0.5)^1*x2 + x2/-4 + -1*exp(x3 - x1)\n"
+    "start: 0.7 1.3 0.5\n"
+)
+
+
 @given(case=jacobian_cases())
 @example(case=(problem_from(EVERY_NODE_KIND, CTX), pt(CTX, "0.5", 1, "1.5")))
 @example(case=(problem_from(QUOTIENT_FACTORS, CTX), pt(CTX, "0.9", "1.3")))
+@example(case=(problem_from(LITERAL_OPERANDS, CTX), pt(CTX, "0.7", "1.3", "0.5")))
+@example(case=(problem_from(LITERAL_OPERANDS, CTX), pt(CTX, "0.1", 2, "-0.9")))
 @settings(max_examples=60)
 def test_jacobian_is_bitwise_the_jet_jacobian(case):
     problem, point = case
@@ -486,6 +500,45 @@ def test_jacobian_is_bitwise_the_jet_jacobian(case):
     for eq in problem.equations:
         value = eval_gradient(eq, point, CTX)[0]
         assert value._mpf_ == eval_jet(eq, point, 1, CTX).value()._mpf_
+
+
+@pytest.mark.parametrize(
+    "equation, error, message",
+    [
+        ("x1 + 3*log(x1 - 1)", DomainError, "log of a non-positive value"),
+        ("x2 - 2*(x1/(x2 - 2))", DivisionByZeroJetError, "division by zero"),
+        ("x1 + sqrt(-x2)*0", DomainError, "sqrt of a non-positive value"),
+        ("(x1/(x2 - 2))^0 + x1", DivisionByZeroJetError, "division by zero"),
+        ("x1 + x2/0", DivisionByZeroJetError, "division by zero"),
+    ],
+)
+def test_jacobian_raises_what_the_gradient_raises(equation, error, message):
+    """The Jacobian does not value these summands, but still meets their faults."""
+    p = problem_from(f"vars: x1 x2\neq: {equation}\neq: x1 - x2\nstart: 1 2\n", CTX)
+    for evaluate in (
+        lambda: eval_gradient(p.equations[0], p.start, CTX),
+        lambda: scheme.jacobian(p, p.start),
+    ):
+        with pytest.raises(error) as caught:
+            evaluate()
+        assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_nonlinear_parts_are_built_once_per_problem(monkeypatch):
+    p = problem_from(TWO_VAR, CTX)
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return nonlinear_part(e)
+
+    monkeypatch.setattr(expr, "nonlinear_part", counting)
+    build_terms(p, p.start, SchemeSpec(5), neg_f(p, p.start))
+    first = len(calls)
+    assert all(eq in calls for eq in p.equations)
+    build_terms(p, p.start, SchemeSpec(5), neg_f(p, p.start))
+    assert len(calls) == first
+    assert p.nonlinear_parts == tuple(nonlinear_part(eq) for eq in p.equations)
 
 
 def test_build_terms_uses_one_lu_and_no_series_inverse(monkeypatch):
