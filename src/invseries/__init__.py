@@ -31,7 +31,6 @@ from .errors import (
 )
 from .expr import (
     Problem,
-    eval_gradient,
     eval_jet,
     eval_scalar,
     format_expr,
@@ -48,7 +47,6 @@ from .numerics import (
     scalar_from_decimal,
 )
 from .scheme import (
-    SchemeSpec,
     SeriesMatrix,
     apply_update,
     build_terms,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import InsufficientDataError
 from .expr import eval_jet
 from .numerics import MPVector, format_scalar, norm_inf
-from .scheme import SchemeSpec, build_terms, evaluate_system
+from .scheme import build_terms, check_order, evaluate_system
 from .solver import IterationTrace
 from .taylor import jet_partial
 
@@ -58,16 +58,22 @@ def nearest_root(problem, x: MPVector) -> MPVector:
     return min(problem.known_roots, key=lambda r: norm_inf(x.sub(r)))
 
 
-def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEstimate:
-    """Per-iteration p = log e(n+1) / log e(n) on distances to a known root."""
-    ctx = trace.problem.context
-    lower, upper = estimator_window(ctx)
-    root_residual = norm_inf(evaluate_system(trace.problem, root))
+def check_root(problem, root: MPVector) -> None:
+    """Refuse a root whose residual does not sit below the estimator window."""
+    lower, _ = estimator_window(problem.context)
+    root_residual = norm_inf(evaluate_system(problem, root))
     if not root_residual < lower:
         raise ValueError(
             f"supplied root has residual {format_scalar(root_residual, 5)}; "
             "not accurate enough for error measurements"
         )
+
+
+def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEstimate:
+    """Per-iteration p = log e(n+1) / log e(n) on distances to a known root."""
+    ctx = trace.problem.context
+    lower, upper = estimator_window(ctx)
+    check_root(trace.problem, root)
     errors = [norm_inf(row.x.sub(root)) for row in trace.rows]
     anchors = [n for n, e in enumerate(errors) if lower < e < upper]
     if len(anchors) < 3:
@@ -108,20 +114,22 @@ def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
     return OrderEstimate("successive-steps", tuple(estimates), summary, tuple(anchors))
 
 
-def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
-    """(measured, predicted) asymptotic error constants for a 1-variable problem.
+def error_constant_check(trace: IterationTrace, order: int):
+    """(measured, predicted) asymptotic error constants for a 1-variable trace.
 
-    Measured is e(n+1)/e(n)^k at the last usable iteration.  Predicted is
+    k is ``order``, the order the trace was solved at.  Measured is
+    e(n+1)/e(n)^k at the last usable iteration.  Predicted is
     |a_k * f'(root)^k| where a_k is the first series coefficient the
     order-k update drops: x_k = T_k[1, ..., 1] / k!, built at the root
     along the direction 1.
     """
+    check_order(order)
+    problem = trace.problem
     if problem.nvars != 1:
         raise ValueError("error_constant_check needs a 1-variable problem")
     if not problem.known_roots:
         raise ValueError("error_constant_check needs a known root")
     ctx = problem.context
-    k = spec.order
     root = nearest_root(problem, trace.rows[-1].x)
     deltas = [norm_inf(row.x.sub(root)) for row in trace.rows]
     lower, upper = estimator_window(ctx)
@@ -133,7 +141,7 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
     ]
     if anchors:
         n = anchors[-1]
-        measured = deltas[n + 1] / deltas[n] ** k
+        measured = deltas[n + 1] / deltas[n] ** order
     elif any(
         deltas[n + 1] <= lower and deltas[n] > 0 for n in range(len(deltas) - 1)
     ):
@@ -142,10 +150,9 @@ def error_constant_check(problem, trace: IterationTrace, spec: SchemeSpec):
         raise InsufficientDataError("no usable error pair in the trace")
 
     # first dropped coefficient: build one extra term at the root
-    terms = build_terms(problem, root, spec, MPVector([ctx.one]), terms=k)
-    a_k = terms[k - 1][0]
+    a_k = build_terms(problem, root, MPVector([ctx.one]), order)[-1][0]
     fprime = jet_partial(eval_jet(problem.equations[0], root, 1, ctx), 0).value()
-    predicted = abs(a_k * fprime**k)
+    predicted = abs(a_k * fprime**order)
     return measured, predicted
 
 

@@ -2,6 +2,7 @@
 
 Exit codes: 0 converged (or all order checks passed), 1 usage or input
 errors, 2 diverged or iteration cap reached, 3 singular Jacobian.
+``order-check`` exits 2 when a row FAILs or a solve did not converge.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 from .analysis import (
     SOLUTION_DIGITS,
     TABLE_FORMATS,
+    check_root,
     estimate_order_known_root,
     estimate_order_successive,
     estimator_window,
@@ -147,6 +149,8 @@ def cmd_order_check(args) -> int:
         )
 
     problem = _load_problem(args, ctx)
+    for root in problem.known_roots:
+        check_root(problem, root)
     print("| order | known_root | successive | verdict |")
     print("|---|---|---|---|")
     all_ok = True
@@ -171,8 +175,11 @@ def cmd_order_check(args) -> int:
             cells.append(f"{est.summary:.3f}")
         except InsufficientDataError:
             cells.append("insufficient-data")
-        if not summaries:
+        if not summaries and trace.status is Status.CONVERGED:
             verdict = "no-data (converged too fast to measure)"
+        elif not summaries:
+            verdict = f"no-data ({trace.status.value})"
+            all_ok = False
         elif all(abs(s - order) <= ORDER_CHECK_SLACK for s in summaries):
             verdict = "ok"
         else:

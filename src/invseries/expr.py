@@ -4,9 +4,9 @@ evaluation over both scalars and jets.
 One jet evaluator, ``eval_jet_at``, takes a jet for each variable: the
 coordinate jets of ``eval_jet`` expand an expression around a point, and
 univariate jets along a curve give its Taylor coefficients on that curve.
-``eval_gradient`` gives the value and first partials at a point by forward
-mode, bit for bit the degree-1 coefficients of ``eval_jet`` at less cost;
-the solver's Jacobian comes from it.  ``nonlinear_part`` drops the affine
+``eval_partials`` gives the first partials at a point by forward mode, bit
+for bit the degree-1 coefficients of ``eval_jet`` at less cost; the
+solver's Jacobian comes from it.  ``nonlinear_part`` drops the affine
 summands of an expression: the path sweeps read only the top coefficient,
 where the seeds are 0, so an affine summand adds an exact 0 there and
 the sweeps skip it.
@@ -383,38 +383,34 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     scales by c or by 1/c from the ``recip`` series (``jet_scale``), bit
     for bit the product with c's constant jet or with its ``jet_recip``.
     """
-    nvars, max_degree = seeds[0].nvars, seeds[0].max_degree
-
-    def rec(node) -> TaylorPoly:
-        if isinstance(node, Const):
-            return jet_constant(ctx, ctx.const(node.text), nvars, max_degree)
-        if isinstance(node, Var):
-            return seeds[node.index]
-        if isinstance(node, Neg):
-            return jet_neg(rec(node.arg))
-        if isinstance(node, BinOp):
-            if node.op in "*/" and _is_literal(node.right):
-                left, c = rec(node.left), eval_scalar(node.right, None, ctx)
-                if node.op == "/":
-                    c = univariate_series("recip", c, 0, ctx)[0]
-                return jet_scale(left, c)
-            if node.op == "*" and _is_literal(node.left):
-                return jet_scale(rec(node.right), eval_scalar(node.left, None, ctx))
-            left, right = rec(node.left), rec(node.right)
-            if node.op == "+":
-                return jet_add(left, right)
-            if node.op == "-":
-                return jet_sub(left, right)
-            if node.op == "*":
-                return jet_mul(left, right)
-            return jet_mul(left, jet_recip(right))
-        if isinstance(node, Power):
-            return jet_pow_int(rec(node.base), node.exponent)
-        if isinstance(node, Call):
-            return jet_compose_univariate(node.fn, rec(node.arg))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(e)
+    if isinstance(e, Const):
+        return jet_constant(ctx, ctx.const(e.text), seeds[0].nvars, seeds[0].max_degree)
+    if isinstance(e, Var):
+        return seeds[e.index]
+    if isinstance(e, Neg):
+        return jet_neg(eval_jet_at(e.arg, seeds, ctx))
+    if isinstance(e, BinOp):
+        if e.op in "*/" and _is_literal(e.right):
+            left, c = eval_jet_at(e.left, seeds, ctx), eval_scalar(e.right, None, ctx)
+            if e.op == "/":
+                c = univariate_series("recip", c, 0, ctx)[0]
+            return jet_scale(left, c)
+        if e.op == "*" and _is_literal(e.left):
+            c = eval_scalar(e.left, None, ctx)
+            return jet_scale(eval_jet_at(e.right, seeds, ctx), c)
+        left, right = eval_jet_at(e.left, seeds, ctx), eval_jet_at(e.right, seeds, ctx)
+        if e.op == "+":
+            return jet_add(left, right)
+        if e.op == "-":
+            return jet_sub(left, right)
+        if e.op == "*":
+            return jet_mul(left, right)
+        return jet_mul(left, jet_recip(right))
+    if isinstance(e, Power):
+        return jet_pow_int(eval_jet_at(e.base, seeds, ctx), e.exponent)
+    if isinstance(e, Call):
+        return jet_compose_univariate(e.fn, eval_jet_at(e.arg, seeds, ctx))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def nonlinear_part(e: Expr) -> Expr | None:
@@ -554,30 +550,22 @@ def _forward(node, xs, ctx, need):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_gradient(e: Expr, point: MPVector, ctx: Context):
-    """Value and first partials of an expression at a point (forward mode).
-
-    Returns ``(value, grad)`` where ``grad`` maps a variable index to its
-    partial; a constant subtree has no entries.  Every operation replays
-    the degree-1 jet arithmetic of ``eval_jet``, so value and partials are
-    bit for bit the jet's.  Its own rule is the sparse product sum
-    a0·b_i + a_i·b0; the rest is ``taylor``'s: a quotient is a·(1/b)
-    (not ``eval_scalar``'s a/b) and a call is s0 + s1·t, both from
-    ``univariate_series``, and ``^`` is ``binary_power``.  A factor that
-    is ``ctx.one`` itself, the exact 1 a variable's partial starts from,
-    is not multiplied by: the other factor is taken as it is.
-    """
-    return _forward(e, [ctx.mp.mpf(x) for x in point], ctx, True)
-
-
 def eval_partials(e: Expr, xs, ctx: Context) -> dict:
-    """``eval_gradient``'s partials alone, at the context floats ``xs``.
+    """First partials of an expression at the context floats ``xs`` (forward mode).
 
-    Only the values the partials read are computed: a value is read by a
-    product whose other operand is not a literal, by a divisor, a powered
-    base and a call's argument.  So the affine summands of an equation
-    give their partials without their values.  The partials keep
-    ``eval_gradient``'s bits, and the errors its class and message.
+    Returns a dict from a variable index to its partial; a constant
+    subtree has no entries.  Every operation replays the degree-1 jet
+    arithmetic of ``eval_jet``, so the partials are bit for bit the jet's,
+    and a fault raises the jet's error class and message.  Its own rule is
+    the sparse product sum a0·b_i + a_i·b0; the rest is ``taylor``'s: a
+    quotient is a·(1/b) (not ``eval_scalar``'s a/b) and a call is
+    s0 + s1·t, both from ``univariate_series``, and ``^`` is
+    ``binary_power``.  A factor that is ``ctx.one`` itself, the exact 1 a
+    variable's partial starts from, is not multiplied by: the other factor
+    is taken as it is.  Only the values the partials read are computed: a
+    value is read by a product whose other operand is not a literal, by a
+    divisor, a powered base and a call's argument.  So the affine summands
+    of an equation give their partials without their values.
     """
     return _forward(e, xs, ctx, False)[1]
 

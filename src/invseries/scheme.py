@@ -17,7 +17,6 @@ uses neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 
@@ -44,23 +43,14 @@ MAX_ORDER = 8
 MAX_VARS = 8
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
-    """Target convergence order k >= 2; the update keeps k-1 series terms."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"order must be at least 2, got {self.order}")
-        if self.order > MAX_ORDER:
-            raise SchemeSizeError(
-                f"order {self.order} exceeds the supported maximum {MAX_ORDER}"
-            )
-
-    @property
-    def terms(self) -> int:
-        return self.order - 1
+def check_order(order: int) -> None:
+    """Refuse a convergence order k outside 2..``MAX_ORDER``."""
+    if order < 2:
+        raise ValueError(f"order must be at least 2, got {order}")
+    if order > MAX_ORDER:
+        raise SchemeSizeError(
+            f"order {order} exceeds the supported maximum {MAX_ORDER}"
+        )
 
 
 class SeriesMatrix:
@@ -102,7 +92,7 @@ def jacobian(problem: Problem, point: MPVector) -> MPMatrix:
     Built by ``eval_partials``, which computes only the values the
     partials read, it is bit for bit
     ``jacobian_series(problem, point, 0).constant_matrix()`` and raises
-    what ``eval_gradient`` raises at the point.
+    what ``eval_jet`` raises at the point.
     """
     ctx = problem.context
     xs = [ctx.mp.mpf(x) for x in point]
@@ -172,17 +162,11 @@ def _mat_vec(m: MPMatrix, v) -> list:
 
 
 def build_terms(
-    problem: Problem,
-    point: MPVector,
-    spec: SchemeSpec,
-    direction: MPVector,
-    *,
-    terms: int | None = None,
+    problem: Problem, point: MPVector, direction: MPVector, terms: int
 ) -> list[MPVector]:
-    """Terms x_p = T_p[v, ..., v] / p! for p = 1..m at a point.
+    """Terms x_p = T_p[v, ..., v] / p! for p = 1..m at a point, m = ``terms``.
 
-    m is ``terms`` when given and ``spec.terms`` otherwise; the error
-    constant needs one term beyond the top order's update.
+    The order-k update keeps k-1 terms; the error constant reads one more.
 
     x_p is the degree-p Taylor coefficient of the path x(t) from the point
     with f(x(t)) = f(point) + t·v.  Degree 1 gives J·x_1 = v.  For p >= 2
@@ -195,17 +179,18 @@ def build_terms(
     equation has c_p = 0 without a sweep.  Every error the full trees
     could raise there, ``jacobian`` raises first at the same point.
     """
+    if terms < 1:
+        raise ValueError(f"terms must be at least 1, got {terms}")
     n = problem.nvars
     if n > MAX_VARS:
         raise SchemeSizeError(f"{n} variables exceed the supported maximum {MAX_VARS}")
     if point.dim != n or direction.dim != n:
         raise ShapeMismatchError("point or direction dimension differs from nvars")
     ctx = problem.context
-    m = spec.terms if terms is None else terms
     X0 = lu_invert(jacobian(problem, point), ctx)
     path = [list(point), _mat_vec(X0, direction)]
-    parts = problem.nonlinear_parts if m >= 2 else ()
-    for p in range(2, m + 1):
+    parts = problem.nonlinear_parts if terms >= 2 else ()
+    for p in range(2, terms + 1):
         keys = multi_indices(1, p)
         seeds = [
             TaylorPoly(ctx, 1, p, dict(zip(keys, (*xs, ctx.zero)))) for xs in zip(*path)

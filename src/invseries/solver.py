@@ -19,7 +19,7 @@ import mpmath
 from .errors import DomainError, IterationError, SingularMatrixError
 from .expr import Problem
 from .numerics import DEFAULT_PRECISION, MPVector, norm_inf
-from .scheme import SchemeSpec, apply_update, build_terms, evaluate_system
+from .scheme import apply_update, build_terms, check_order, evaluate_system
 
 # consecutive step-norm increases (each also above the first step) that
 # declare divergence
@@ -52,7 +52,7 @@ class SolveConfig:
     tol: Optional[str | float] = None
 
     def __post_init__(self):
-        SchemeSpec(self.order)
+        check_order(self.order)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol is not None and not mpmath.mpf(self.tol) > 0:
@@ -74,10 +74,6 @@ class IterationTrace:
     problem: Problem
     rows: list
     status: Status
-
-    @property
-    def precision(self) -> int:
-        return self.problem.context.precision
 
     def step_norms(self):
         return [row.step_norm for row in self.rows[1:]]
@@ -110,7 +106,6 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
             f"{config.precision}; re-parse the problem at the solve precision"
         )
     tol = resolve_tol(config, ctx)
-    spec = SchemeSpec(config.order)
 
     x = problem.start
     try:
@@ -125,7 +120,7 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
 
     for it in range(1, config.max_iters + 1):
         try:
-            terms = build_terms(problem, x, spec, MPVector(-v for v in f_x))
+            terms = build_terms(problem, x, MPVector(-v for v in f_x), config.order - 1)
             new_x = apply_update(terms, x)
             new_f = evaluate_system(problem, new_x)
         except SingularMatrixError:

@@ -294,7 +294,7 @@ def univariate_series(fn: str, c, d: int, ctx: Context) -> list:
     """Taylor coefficients s_0..s_d of ``fn`` at ``c``.
 
     ``fn`` is exp, log, sqrt, sin, cos or recip (1/t).  ``eval_scalar``
-    reads s_0, ``eval_gradient`` s_0 and s_1 and jet composition all, so
+    reads s_0, ``eval_partials`` s_0 and s_1 and jet composition all, so
     the three raise the same errors and agree bit for bit.  s_0 (for sin
     and cos, the cycle from one ``cos_sin``) comes from ``ctx.elementary``:
     one evaluation per argument and Context.  Only work that changes a bit

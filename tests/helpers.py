@@ -175,12 +175,13 @@ def neg_f(problem, point) -> MPVector:
     return MPVector(-v for v in evaluate_system(problem, point))
 
 
-def update(problem, point, spec) -> MPVector:
-    """One step of the solver's update from ``point``, along -f(point)."""
-    return apply_update(build_terms(problem, point, spec, neg_f(problem, point)), point)
+def update(problem, point, order) -> MPVector:
+    """One order-k step of the solver's update from ``point``, along -f(point)."""
+    terms = build_terms(problem, point, neg_f(problem, point), order - 1)
+    return apply_update(terms, point)
 
 
-def tensor_update(problem, point, spec) -> MPVector:
+def tensor_update(problem, point, order) -> MPVector:
     """The same step in the paper's form, as an independent reference.
 
     Every entry of every tensor is built: T_1 is the inverse-Jacobian
@@ -188,7 +189,7 @@ def tensor_update(problem, point, spec) -> MPVector:
     X[s, c] · d_s T_p[idx].  Each T_p is then contracted with -f one slot
     at a time and enters with weight 1/p!.
     """
-    n, m = problem.nvars, spec.terms
+    n, m = problem.nvars, order - 1
     X = series_matrix_inverse(jacobian_series(problem, point, m - 1))
     tensor = {(i, j): X.at(i, j) for i in range(n) for j in range(n)}
     tensors = [tensor]

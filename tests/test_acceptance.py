@@ -14,7 +14,7 @@ from invseries.corpus import builtin_problem
 from invseries.errors import SingularMatrixError
 from invseries.expr import parse_problem
 from invseries.numerics import Context, MPVector, format_scalar, norm_inf
-from invseries.scheme import SchemeSpec, build_terms
+from invseries.scheme import build_terms
 from invseries.solver import SolveConfig, Status, solve
 from invseries.taylor import jet_compose_univariate, jet_var
 
@@ -57,7 +57,7 @@ def test_criterion_01_first_iterates_digit_exact(ctx, two_var_problem):
         5: "1.358853816986083984375",
     }
     for order, text in expected.items():
-        new = update(two_var_problem, two_var_problem.start, SchemeSpec(order))
+        new = update(two_var_problem, two_var_problem.start, order)
         pinned = ctx.mp.mpf(text)  # finite binary fraction, parses exactly
         assert new[0] == pinned and new[1] == pinned, f"order {order}"
     report(1, started, 10, "iteration-1 values for orders 2-5 are digit-exact")
@@ -142,7 +142,7 @@ def test_criterion_06_one_dimensional_oracle(ctx):
     started = time.time()
     problem = builtin_problem("scalar-square", ctx)
     point = MPVector([ctx.mp.mpf(4)])
-    terms = build_terms(problem, point, SchemeSpec(7), MPVector([ctx.one]))
+    terms = build_terms(problem, point, MPVector([ctx.one]), 6)
     oracle = jet_compose_univariate("sqrt", jet_var(ctx, 0, ctx.mp.mpf(16), 1, 6))
     rel_tol = ctx.pow10(-(PRECISION - 20))
     for p in range(2, 7):
@@ -158,7 +158,7 @@ def test_criterion_07_error_constant_law(ctx):
     problem = builtin_problem("scalar-square", ctx)
     for k in (2, 3):
         trace = solve(problem, SolveConfig(order=k, precision=PRECISION))
-        measured, predicted = error_constant_check(problem, trace, SchemeSpec(k))
+        measured, predicted = error_constant_check(trace, k)
         assert predicted == 0.5  # closed form for this system at the root
         assert abs(measured / predicted - 1) < 1e-3, f"order {k}"
     report(7, started, 10, "measured error constants match prediction to 3 digits")
@@ -173,7 +173,7 @@ def test_criterion_08_affine_exactness(ctx):
     ]
     for k in range(2, 9):
         for direction in (neg_f(problem, problem.start), *units):
-            terms = build_terms(problem, problem.start, SchemeSpec(k), direction)
+            terms = build_terms(problem, problem.start, direction, k - 1)
             for term in terms[1:]:
                 assert all(v == 0 for v in term)
         trace = solve(problem, SolveConfig(order=k, precision=PRECISION))
@@ -192,7 +192,7 @@ def test_criterion_09_newton_cross_check(ctx):
         n = 2 if checked < 50 else 3
         problem, point = random_poly_problem(rng, n, ctx)
         try:
-            mine = update(problem, point, SchemeSpec(2))
+            mine = update(problem, point, 2)
         except SingularMatrixError:
             continue
         oracle = newton_step_by_lu(problem, point, ctx)

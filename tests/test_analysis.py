@@ -14,7 +14,7 @@ from invseries.analysis import (
 from invseries.errors import InsufficientDataError
 from invseries.expr import parse_problem
 from invseries.numerics import MPVector, norm_inf
-from invseries.scheme import SchemeSpec, evaluate_system
+from invseries.scheme import evaluate_system
 from invseries.solver import IterationTrace, SolveConfig, Status, TraceRow, solve
 
 
@@ -124,18 +124,14 @@ def test_estimators_agree_on_corpus(two_var):
 
 def test_error_constant_newton(scalar_problem):
     trace = solve(scalar_problem, SolveConfig(order=2, precision=1000))
-    measured, predicted = error_constant_check(
-        scalar_problem, trace, SchemeSpec(2)
-    )
+    measured, predicted = error_constant_check(trace, 2)
     assert predicted == 0.5
     assert abs(measured / predicted - 1) < 1e-3
 
 
 def test_error_constant_third_order(scalar_problem):
     trace = solve(scalar_problem, SolveConfig(order=3, precision=1000))
-    measured, predicted = error_constant_check(
-        scalar_problem, trace, SchemeSpec(3)
-    )
+    measured, predicted = error_constant_check(trace, 3)
     assert predicted == 0.5
     assert abs(measured / predicted - 1) < 1e-3
 
@@ -144,7 +140,7 @@ def test_error_constant_third_order(scalar_problem):
 def test_error_constant_at_the_top_orders(scalar_problem, k, expected):
     """|binom(1/2, k)·2^k|, the order-8 case included (MAX_ORDER is 8)."""
     trace = solve(scalar_problem, SolveConfig(order=k, precision=1000))
-    measured, predicted = error_constant_check(scalar_problem, trace, SchemeSpec(k))
+    measured, predicted = error_constant_check(trace, k)
     assert predicted == scalar_problem.context.mp.mpf(expected)
     assert abs(measured / predicted - 1) < 1e-3
 
@@ -152,7 +148,7 @@ def test_error_constant_at_the_top_orders(scalar_problem, k, expected):
 def test_error_constant_affine(ctx1000):
     p = parse_problem("vars: x\neq: 2*x - 3\nstart: 4\nroot: 1.5\n", ctx1000)
     trace = solve(p, SolveConfig(order=2, precision=1000))
-    measured, predicted = error_constant_check(p, trace, SchemeSpec(2))
+    measured, predicted = error_constant_check(trace, 2)
     assert measured == 0
     assert predicted == 0
 
@@ -160,7 +156,7 @@ def test_error_constant_affine(ctx1000):
 def test_error_constant_needs_one_var(two_var):
     trace = solve(two_var, SolveConfig(order=2, precision=1000))
     with pytest.raises(ValueError):
-        error_constant_check(two_var, trace, SchemeSpec(2))
+        error_constant_check(trace, 2)
 
 
 def test_render_markdown_reference_prefix(two_var):

@@ -8,6 +8,7 @@ from invseries.cli import main
 
 DIVERGENT = "vars: x\neq: 1/x - 0.5\nstart: 5\n"
 SINGULAR = "vars: x\neq: x^2\nstart: 0\n"
+NO_REAL_ROOT = "vars: x\neq: x^2 + 1\nstart: 0.5\n"
 
 # sha256 of each file `invseries tables --precision 1000` writes; the
 # tables are the paper's deliverable and must stay byte-identical
@@ -181,7 +182,40 @@ def test_order_check_affine_insufficient_data(capsys):
     )
     assert code == 0
     assert "insufficient-data" in out
-    assert "no-data" in out
+    assert "| no-data (converged too fast to measure) |" in out
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [(NO_REAL_ROOT, "max-iters"), (SINGULAR, "singular-jacobian")],
+    ids=["max-iters", "singular-jacobian"],
+)
+def test_order_check_names_the_status_of_a_solve_that_did_not_converge(
+    capsys, tmp_path, text, status
+):
+    f = tmp_path / "unsolved.prob"
+    f.write_text(text)
+    code, out, _ = run(
+        capsys, "order-check", "--problem", str(f), "--orders", "2,3",
+        "--precision", "200",
+    )
+    assert code == 2
+    rows = out.splitlines()[2:]
+    assert rows == [
+        f"| {k} | no-root | insufficient-data | no-data ({status}) |" for k in (2, 3)
+    ]
+
+
+def test_order_check_rejects_an_inexact_root_before_output(capsys, tmp_path):
+    f = tmp_path / "inexact.prob"
+    f.write_text("vars: x\neq: x^2 - 2\nstart: 1\nroot: 1.41421356\n")
+    code, out, err = run(
+        capsys, "order-check", "--problem", str(f), "--orders", "2",
+        "--precision", "200",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: supplied root has residual 6.7121e-9;")
 
 
 def test_order_check_bad_orders_flag(capsys):

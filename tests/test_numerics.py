@@ -10,7 +10,7 @@ from invseries.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from invseries.expr import eval_gradient, eval_jet, eval_scalar, parse_problem
+from invseries.expr import eval_jet, eval_partials, eval_scalar, parse_problem
 from invseries.numerics import (
     ELEMENTARY_MEMO_SIZE,
     Context,
@@ -316,7 +316,7 @@ def test_repeated_argument_makes_no_new_call():
     for _ in range(2):
         for eq in problem.equations:
             eval_scalar(eq, point, ctx)
-            eval_gradient(eq, point, ctx)
+            eval_partials(eq, point, ctx)
             eval_jet(eq, point, 3, ctx)
     names = [name for name, _ in ctx.mp.calls]
     assert sorted(names) == ["cos_sin", "exp", "log", "sqrt"]

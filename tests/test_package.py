@@ -8,8 +8,8 @@ def test_public_names_resolve():
         "Context", "MPVector", "MPMatrix", "scalar_from_decimal", "lu_invert",
         "norm_inf", "format_scalar", "TaylorPoly", "jet_var", "jet_mul",
         "jet_recip", "jet_compose_univariate", "jet_partial",
-        "parse_problem", "eval_scalar", "eval_jet", "eval_gradient", "format_expr",
-        "Problem", "SchemeSpec", "SeriesMatrix", "jacobian", "jacobian_series",
+        "parse_problem", "eval_scalar", "eval_jet", "format_expr",
+        "Problem", "SeriesMatrix", "jacobian", "jacobian_series",
         "series_matrix_inverse", "build_terms", "apply_update",
         "SolveConfig", "IterationTrace", "Status", "solve",
         "OrderEstimate", "estimate_order_known_root", "estimate_order_successive",

@@ -7,7 +7,7 @@ from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.errors import IterationError
 from invseries.numerics import Context, format_scalar, norm_inf
-from invseries.scheme import SchemeSpec, evaluate_system
+from invseries.scheme import evaluate_system
 from invseries.solver import SolveConfig, Status, solve
 
 from helpers import update
@@ -179,7 +179,7 @@ def test_error_vs_root_uses_nearest(two_var):
 
 
 def test_iterate_once_matches_first_row(two_var):
-    first = update(two_var, two_var.start, SchemeSpec(5))
+    first = update(two_var, two_var.start, 5)
     trace = solve(two_var, SolveConfig(order=5, precision=1000))
     assert first[0] == trace.rows[1].x[0]
 
@@ -187,7 +187,7 @@ def test_iterate_once_matches_first_row(two_var):
 def test_iterate_once_idempotent_at_root(ctx1000):
     text = "vars: x1 x2\neq: x1 - x2\neq: x1^2 + x2^2 - 2\nstart: 1 1\n"
     p = parse_problem(text, ctx1000)
-    out = update(p, p.start, SchemeSpec(4))
+    out = update(p, p.start, 4)
     assert out[0] == 1 and out[1] == 1
 
 
