@@ -33,7 +33,6 @@ from .expr import (
     Problem,
     eval_jet,
     eval_scalar,
-    format_expr,
     parse_problem,
 )
 from .numerics import (

@@ -69,6 +69,17 @@ def check_root(problem, root: MPVector) -> None:
         )
 
 
+def _usable_pairs(errors, lower, upper) -> list:
+    """Every n whose error lies inside the window and whose successor's
+    lies above the floor: iterates that have saturated leave only
+    rounding residue behind."""
+    return [
+        n
+        for n in range(len(errors) - 1)
+        if lower < errors[n] < upper and errors[n + 1] > lower
+    ]
+
+
 def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEstimate:
     """Per-iteration p = log e(n+1) / log e(n) on distances to a known root."""
     ctx = trace.problem.context
@@ -80,12 +91,10 @@ def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEst
         raise InsufficientDataError(
             f"only {len(anchors)} iterations inside the usable window (need 3)"
         )
-    estimates = []
-    for n in anchors:
-        # the successor must also sit above the precision floor: iterates
-        # that have saturated leave only rounding residue behind
-        if n + 1 < len(errors) and errors[n + 1] > lower:
-            estimates.append((n, _log_ratio(ctx, errors[n + 1], errors[n])))
+    estimates = [
+        (n, _log_ratio(ctx, errors[n + 1], errors[n]))
+        for n in _usable_pairs(errors, lower, upper)
+    ]
     if not estimates:
         raise InsufficientDataError("no anchor has a usable successor error")
     summary = statistics.median(p for _, p in estimates)
@@ -117,8 +126,9 @@ def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
 def error_constant_check(trace: IterationTrace, order: int):
     """(measured, predicted) asymptotic error constants for a 1-variable trace.
 
-    k is ``order``, the order the trace was solved at.  Measured is
-    e(n+1)/e(n)^k at the last usable iteration.  Predicted is
+    k is ``order``, the order the trace was solved at.  The root is the
+    known root nearest the last iterate, refused as ``check_root`` refuses
+    it.  Measured is e(n+1)/e(n)^k at the last usable iteration.  Predicted is
     |a_k * f'(root)^k| where a_k is the first series coefficient the
     order-k update drops: x_k = T_k[1, ..., 1] / k!, built at the root
     along the direction 1.
@@ -131,14 +141,11 @@ def error_constant_check(trace: IterationTrace, order: int):
         raise ValueError("error_constant_check needs a known root")
     ctx = problem.context
     root = nearest_root(problem, trace.rows[-1].x)
+    check_root(problem, root)
     deltas = [norm_inf(row.x.sub(root)) for row in trace.rows]
     lower, upper = estimator_window(ctx)
 
-    anchors = [
-        n
-        for n in range(len(deltas) - 1)
-        if lower < deltas[n] < upper and deltas[n + 1] > lower
-    ]
+    anchors = _usable_pairs(deltas, lower, upper)
     if anchors:
         n = anchors[-1]
         measured = deltas[n + 1] / deltas[n] ** order

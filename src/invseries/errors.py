@@ -44,7 +44,7 @@ class NonSquareSystemError(ParseError):
 
 
 class SchemeSizeError(InvseriesError, ValueError):
-    """Requested order or variable count exceeds the supported range."""
+    """Requested convergence order exceeds the supported range."""
 
 
 class InsufficientDataError(InvseriesError):

@@ -48,7 +48,6 @@ from .taylor import (
     jet_neg,
     jet_pow_int,
     jet_recip,
-    jet_scale,
     jet_sub,
     jet_var,
     univariate_series,
@@ -379,9 +378,10 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     """Jet of an expression whose variable ``i`` is the jet ``seeds[i]``.
 
     Every seed has the same number of variables and degree, and so does
-    every intermediate jet.  A literal factor or divisor c (-c included)
-    scales by c or by 1/c from the ``recip`` series (``jet_scale``), bit
-    for bit the product with c's constant jet or with its ``jet_recip``.
+    every intermediate jet.  A literal is its constant jet, so a literal
+    factor or divisor (-c included) is a ``jet_mul`` with that jet or
+    with its ``jet_recip``: each coefficient takes one product, and the
+    reciprocal one division.
     """
     if isinstance(e, Const):
         return jet_constant(ctx, ctx.const(e.text), seeds[0].nvars, seeds[0].max_degree)
@@ -390,14 +390,6 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     if isinstance(e, Neg):
         return jet_neg(eval_jet_at(e.arg, seeds, ctx))
     if isinstance(e, BinOp):
-        if e.op in "*/" and _is_literal(e.right):
-            left, c = eval_jet_at(e.left, seeds, ctx), eval_scalar(e.right, None, ctx)
-            if e.op == "/":
-                c = univariate_series("recip", c, 0, ctx)[0]
-            return jet_scale(left, c)
-        if e.op == "*" and _is_literal(e.left):
-            c = eval_scalar(e.left, None, ctx)
-            return jet_scale(eval_jet_at(e.right, seeds, ctx), c)
         left, right = eval_jet_at(e.left, seeds, ctx), eval_jet_at(e.right, seeds, ctx)
         if e.op == "+":
             return jet_add(left, right)
@@ -568,45 +560,3 @@ def eval_partials(e: Expr, xs, ctx: Context) -> dict:
     of an equation give their partials without their values.
     """
     return _forward(e, xs, ctx, False)[1]
-
-
-# --- pretty printing ---------------------------------------------------------
-
-_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = range(5)
-
-
-def _fmt(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return e.text, _LEVEL_ATOM
-    if isinstance(e, Var):
-        return e.name, _LEVEL_ATOM
-    if isinstance(e, Neg):
-        inner, lvl = _fmt(e.arg)
-        if lvl < _LEVEL_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}", _LEVEL_UNARY
-    if isinstance(e, BinOp):
-        own = _LEVEL_SUM if e.op in "+-" else _LEVEL_TERM
-        left, llvl = _fmt(e.left)
-        right, rlvl = _fmt(e.right)
-        if llvl < own:
-            left = f"({left})"
-        # binary ops parse left-associatively, so an equal-level right child
-        # must keep its parentheses for the tree to survive a round trip
-        if rlvl <= own:
-            right = f"({right})"
-        return f"{left} {e.op} {right}", own
-    if isinstance(e, Power):
-        base, blvl = _fmt(e.base)
-        if blvl < _LEVEL_ATOM:
-            base = f"({base})"
-        return f"{base}^{e.exponent}", _LEVEL_POWER
-    if isinstance(e, Call):
-        inner, _ = _fmt(e.arg)
-        return f"{e.fn}({inner})", _LEVEL_ATOM
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def format_expr(e: Expr) -> str:
-    """Render an AST so that re-parsing yields a structurally identical tree."""
-    return _fmt(e)[0]

@@ -40,7 +40,6 @@ from .taylor import (
 )
 
 MAX_ORDER = 8
-MAX_VARS = 8
 
 
 def check_order(order: int) -> None:
@@ -182,8 +181,6 @@ def build_terms(
     if terms < 1:
         raise ValueError(f"terms must be at least 1, got {terms}")
     n = problem.nvars
-    if n > MAX_VARS:
-        raise SchemeSizeError(f"{n} variables exceed the supported maximum {MAX_VARS}")
     if point.dim != n or direction.dim != n:
         raise ShapeMismatchError("point or direction dimension differs from nvars")
     ctx = problem.context

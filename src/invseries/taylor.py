@@ -14,15 +14,17 @@ added, in the same order, to an exact 0): it walks a cached table of
 coefficient positions, takes each output's first product as its value
 rather than adding it to 0, and computes the mirror products a_i·a_j and
 a_j·a_i of a square once.  ``binary_power`` starts from the base, not
-from 1·base, Horner composition adds each series coefficient to the
-constant term alone, and a product with a constant jet is a
-``jet_scale``.
+from 1·base, and Horner composition adds each series coefficient to the
+constant term alone.  A constant is a degree-0 jet: a constant factor
+or divisor is a ``jet_mul`` with its constant jet, and the composition
+of a constant jet reads its series at degree 0 alone.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 
 from .errors import DivisionByZeroJetError, DomainError, ShapeMismatchError
 from .numerics import Context
@@ -68,14 +70,6 @@ class TaylorPoly:
     def value(self):
         """Constant term: the underlying function value at the expansion point."""
         return self.coeffs[(0,) * self.nvars]
-
-    def truncated(self, new_degree: int) -> "TaylorPoly":
-        if new_degree > self.max_degree:
-            raise ShapeMismatchError("cannot truncate to a higher degree")
-        keep = {
-            alpha: c for alpha, c in self.coeffs.items() if sum(alpha) <= new_degree
-        }
-        return TaylorPoly(self.ctx, self.nvars, new_degree, keep)
 
     def homogeneous_part(self, degree: int) -> "TaylorPoly":
         zero = self.ctx.zero
@@ -216,26 +210,13 @@ def jet_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
     return TaylorPoly(ctx, n, d, coeffs)
 
 
-def jet_scale(a: TaylorPoly, s) -> TaylorPoly:
-    """a times the constant s: bit for bit ``jet_mul(jet_constant(s), a)``.
-
-    Each output of that product has at most one term, s·a_k, and a zero
-    coefficient stays an exact 0.
-    """
-    zero = a.ctx.zero
-    return TaylorPoly(
-        a.ctx, a.nvars, a.max_degree, {k: s * c if c else zero for k, c in a.coeffs.items()}
-    )
-
-
 def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
     """Horner evaluation of sum_k series[k]*(a - a0)^k, truncated.
 
-    The first Horner product has a constant factor, series[-1], so it is
-    a ``jet_scale``.  a - a0 has a zero constant term, so each Horner
-    product does too, and adding series[k] touches the constant term
-    alone.  The products are fresh jets no caller has seen, so that add
-    is done in place.
+    A one-term series is the constant jet of series[0].  a - a0 has a
+    zero constant term, so each Horner product does too, and adding
+    series[k] touches the constant term alone.  The products are fresh
+    jets no caller has seen, so that add is done in place.
     """
     ctx, n, d = a.ctx, a.nvars, a.max_degree
     if len(series) == 1:
@@ -244,7 +225,7 @@ def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
     shifted_coeffs = dict(a.coeffs)
     shifted_coeffs[origin] = ctx.zero
     shifted = TaylorPoly(ctx, n, d, shifted_coeffs)
-    result = jet_scale(shifted, series[-1])
+    result = jet_mul(jet_constant(ctx, series[-1], n, d), shifted)
     result.coeffs[origin] += series[-2]
     for k in range(len(series) - 3, -1, -1):
         result = jet_mul(result, shifted)
@@ -337,10 +318,14 @@ def jet_compose_univariate(fn: str, a: TaylorPoly) -> TaylorPoly:
     """Jet of ``fn`` (exp, log, sqrt, sin, cos or recip) applied to ``a``.
 
     The univariate Taylor coefficients of ``fn`` at the constant term feed a
-    Horner composition with ``a - const``.  Integer powers are not series
+    Horner composition with ``a - const``.  A constant ``a`` (a literal,
+    or a sweep from a point whose residual is exactly 0) leaves every term
+    of degree >= 1 an exact 0, so its series is built to degree 0 alone: a
+    literal divisor costs one division.  Integer powers are not series
     compositions; they go through :func:`jet_pow_int`.
     """
-    return _compose_series(univariate_series(fn, a.value(), a.max_degree, a.ctx), a)
+    degree = a.max_degree if any(islice(a.coeffs.values(), 1, None)) else 0
+    return _compose_series(univariate_series(fn, a.value(), degree, a.ctx), a)
 
 
 def jet_partial(a: TaylorPoly, i: int) -> TaylorPoly:

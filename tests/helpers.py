@@ -5,6 +5,7 @@ from functools import reduce
 from itertools import product
 
 from invseries.errors import ShapeMismatchError, SingularMatrixError
+from invseries.expr import BinOp, Call, Const, Neg, Power, Var
 from invseries.numerics import Context, MPMatrix, MPVector
 from invseries.scheme import (
     apply_update,
@@ -141,6 +142,14 @@ def schoolbook_jet_mul(a, b):
     return TaylorPoly(a.ctx, a.nvars, d, out)
 
 
+def truncated(a, new_degree: int):
+    """The jet ``a`` with every term above ``new_degree`` dropped."""
+    if new_degree > a.max_degree:
+        raise ShapeMismatchError("cannot truncate to a higher degree")
+    keep = {alpha: c for alpha, c in a.coeffs.items() if sum(alpha) <= new_degree}
+    return TaylorPoly(a.ctx, a.nvars, new_degree, keep)
+
+
 def derivative_tensor(a, order: int):
     """Raw mixed partials of the given order as nested lists.
 
@@ -195,7 +204,7 @@ def tensor_update(problem, point, order) -> MPVector:
     tensors = [tensor]
     for p in range(1, m):
         xt = {
-            (s, c): X.at(s, c).truncated(m - p - 1)
+            (s, c): truncated(X.at(s, c), m - p - 1)
             for s, c in product(range(n), repeat=2)
         }
         nxt = {}
@@ -219,3 +228,43 @@ def tensor_update(problem, point, order) -> MPVector:
         for i in range(n):
             new[i] += current[(i,)] / math.factorial(p)
     return MPVector(new)
+
+
+_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = range(5)
+
+
+def _fmt(e) -> tuple[str, int]:
+    if isinstance(e, Const):
+        return e.text, _LEVEL_ATOM
+    if isinstance(e, Var):
+        return e.name, _LEVEL_ATOM
+    if isinstance(e, Neg):
+        inner, lvl = _fmt(e.arg)
+        if lvl < _LEVEL_UNARY:
+            inner = f"({inner})"
+        return f"-{inner}", _LEVEL_UNARY
+    if isinstance(e, BinOp):
+        own = _LEVEL_SUM if e.op in "+-" else _LEVEL_TERM
+        left, llvl = _fmt(e.left)
+        right, rlvl = _fmt(e.right)
+        if llvl < own:
+            left = f"({left})"
+        # binary ops parse left-associatively, so an equal-level right child
+        # must keep its parentheses for the tree to survive a round trip
+        if rlvl <= own:
+            right = f"({right})"
+        return f"{left} {e.op} {right}", own
+    if isinstance(e, Power):
+        base, blvl = _fmt(e.base)
+        if blvl < _LEVEL_ATOM:
+            base = f"({base})"
+        return f"{base}^{e.exponent}", _LEVEL_POWER
+    if isinstance(e, Call):
+        inner, _ = _fmt(e.arg)
+        return f"{e.fn}({inner})", _LEVEL_ATOM
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def format_expr(e) -> str:
+    """Render an AST so that re-parsing yields a structurally identical tree."""
+    return _fmt(e)[0]

@@ -153,6 +153,13 @@ def test_error_constant_affine(ctx1000):
     assert predicted == 0
 
 
+def test_error_constant_rejects_an_inexact_root(ctx200):
+    p = parse_problem("vars: x\neq: x^2 - 2\nstart: 1\nroot: 1.41421356\n", ctx200)
+    trace = solve(p, SolveConfig(order=2, precision=200))
+    with pytest.raises(ValueError, match="supplied root has residual 6.7121e-9"):
+        error_constant_check(trace, 2)
+
+
 def test_error_constant_needs_one_var(two_var):
     trace = solve(two_var, SolveConfig(order=2, precision=1000))
     with pytest.raises(ValueError):

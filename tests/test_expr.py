@@ -20,7 +20,6 @@ from invseries.expr import (
     eval_jet_at,
     eval_partials,
     eval_scalar,
-    format_expr,
     nonlinear_part,
     parse_expression,
     parse_problem,
@@ -35,7 +34,7 @@ from invseries.taylor import (
     multi_indices,
 )
 
-from helpers import derivative_tensor
+from helpers import derivative_tensor, format_expr
 
 CTX = Context(60)
 VARS = {"x1": 0, "x2": 1}

@@ -8,7 +8,7 @@ def test_public_names_resolve():
         "Context", "MPVector", "MPMatrix", "scalar_from_decimal", "lu_invert",
         "norm_inf", "format_scalar", "TaylorPoly", "jet_var", "jet_mul",
         "jet_recip", "jet_compose_univariate", "jet_partial",
-        "parse_problem", "eval_scalar", "eval_jet", "format_expr",
+        "parse_problem", "eval_scalar", "eval_jet",
         "Problem", "SeriesMatrix", "jacobian", "jacobian_series",
         "series_matrix_inverse", "build_terms", "apply_update",
         "SolveConfig", "IterationTrace", "Status", "solve",

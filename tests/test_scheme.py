@@ -42,6 +42,7 @@ from invseries.scheme import (
     jacobian_series,
     series_matrix_inverse,
 )
+from invseries.solver import SolveConfig, Status, solve
 from invseries.taylor import (
     TaylorPoly,
     jet_add,
@@ -600,14 +601,16 @@ def test_symmetric_start_gives_symmetric_update(c, k):
     assert new[0] == new[1]
 
 
-def test_variable_count_guardrail():
+def test_nine_variables_converge():
+    """No cap on the variable count: a step costs about one n^3 LU."""
     n = 9
     names = " ".join(f"x{i}" for i in range(n))
     eqs = "\n".join(f"eq: x{i}^2 - 1" for i in range(n))
     text = f"vars: {names}\n{eqs}\nstart: {' '.join(['4'] * n)}\n"
     p = problem_from(text, CTX)
-    with pytest.raises(SchemeSizeError):
-        update(p, p.start, 2)
+    trace = solve(p, SolveConfig(order=3, precision=CTX.precision))
+    assert trace.status is Status.CONVERGED
+    assert all(abs(x - 1) < TOL for x in trace.rows[-1].x)
 
 
 def test_direction_dimension_checked():

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invseries import taylor
 from invseries.errors import (
     DivisionByZeroJetError,
     DomainError,
@@ -21,14 +23,19 @@ from invseries.taylor import (
     jet_partial,
     jet_pow_int,
     jet_recip,
-    jet_scale,
     jet_sub,
     jet_var,
     multi_indices,
     univariate_series,
 )
 
-from helpers import counting_context, derivative_tensor, max_coeff_diff, schoolbook_jet_mul
+from helpers import (
+    counting_context,
+    derivative_tensor,
+    max_coeff_diff,
+    schoolbook_jet_mul,
+    truncated,
+)
 
 CTX = Context(60)
 TOL = CTX.pow10(-CTX.precision + 15)
@@ -228,7 +235,7 @@ def test_jet_mul_is_bitwise_the_schoolbook_product(data):
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_jet_scale_is_bitwise_the_product_with_a_constant_jet(data):
+def test_a_product_with_a_constant_jet_scales_each_coefficient(data):
     nvars = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, 5))
     a = data.draw(sparse_jets(nvars, degree))
@@ -236,7 +243,8 @@ def test_jet_scale_is_bitwise_the_product_with_a_constant_jet(data):
     s = CTX.mp.mpf(num) / den
     constant = jet_constant(CTX, s, nvars, degree)
     before = _bits(a)
-    assert _bits(jet_scale(a, s)) == _bits(jet_mul(constant, a)) == _bits(jet_mul(a, constant))
+    scaled = [(alpha, (s * c if c else CTX.zero)._mpf_) for alpha, c in a.coeffs.items()]
+    assert _bits(jet_mul(constant, a)) == _bits(jet_mul(a, constant)) == scaled
     # a constant divisor: jet_recip of a constant jet is the constant 1/s
     if s:
         assert _bits(jet_recip(constant)) == _bits(jet_constant(CTX, CTX.mp.mpf(1) / s, nvars, degree))
@@ -281,6 +289,26 @@ def test_composition_is_bitwise_the_schoolbook_horner(fn):
         inv.append(-inv[-1] * inv[0])
     assert _bits(jet_recip(a)) == _bits(_schoolbook_compose(inv, a))
     assert _bits(a) == before
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_constant_jet_composes_at_degree_zero(data):
+    """Its series is read at degree 0 only, with the bits of the full Horner."""
+    fn = data.draw(st.sampled_from(["exp", "log", "sqrt", "sin", "cos", "recip"]))
+    nvars = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(0, 6))
+    num, den = data.draw(st.tuples(st.integers(1, 999), st.integers(1, 999)))
+    sign = 1 if fn in ("log", "sqrt") else data.draw(st.sampled_from([1, -1]))
+    c = CTX.mp.mpf(sign * num) / den
+    constant = jet_constant(CTX, c, nvars, degree)
+    with mock.patch.object(taylor, "univariate_series", wraps=univariate_series) as spy:
+        composed = jet_compose_univariate(fn, constant)
+    assert [call.args[2] for call in spy.call_args_list] == [0]
+    s0 = univariate_series(fn, c, 0, CTX)[0]
+    assert _bits(composed) == _bits(jet_constant(CTX, s0, nvars, degree))
+    full = univariate_series(fn, c, degree, CTX)
+    assert _bits(composed) == _bits(_schoolbook_compose(full, constant))
 
 
 @pytest.mark.parametrize("fn", ["sin", "cos"])
@@ -354,8 +382,8 @@ def test_partial_examples():
 def test_partial_product_rule(a, b, i):
     lhs = jet_partial(jet_mul(a, b), i)
     rhs = jet_add(
-        jet_mul(jet_partial(a, i), b.truncated(2)),
-        jet_mul(a.truncated(2), jet_partial(b, i)),
+        jet_mul(jet_partial(a, i), truncated(b, 2)),
+        jet_mul(truncated(a, 2), jet_partial(b, i)),
     )
     assert max_coeff_diff(lhs, rhs) < TOL
 
@@ -412,12 +440,12 @@ def test_ad_matches_central_differences():
 def test_truncated_and_homogeneous():
     x = jet_var(CTX, 0, CTX.mp.mpf(4), 1, 3)
     sq = jet_mul(x, x)
-    t = sq.truncated(1)
+    t = truncated(sq, 1)
     assert t.max_degree == 1 and t.coeffs[(1,)] == 8
     h2 = sq.homogeneous_part(2)
     assert h2.coeffs[(2,)] == 1 and h2.coeffs[(0,)] == 0
     with pytest.raises(ShapeMismatchError):
-        sq.truncated(5)
+        truncated(sq, 5)
 
 
 @given(nvars=st.integers(1, 3), degree=st.integers(0, 3), data=st.data())
@@ -441,7 +469,7 @@ def test_every_producer_builds_the_full_index_table(nvars, degree, data):
         jet_pow_int(a, 3),
         *(jet_compose_univariate(fn, a) for fn in RESERVED_FUNCTIONS),
         jet_partial(a, i),
-        a.truncated(data.draw(st.integers(0, degree))),
+        truncated(a, data.draw(st.integers(0, degree))),
         a.homogeneous_part(data.draw(st.integers(0, degree))),
         eval_jet(e, point, degree, CTX),
     ]
