@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_problem(args, ctx: Context):
     if args.builtin is not None:
         return builtin_problem(args.builtin, ctx)
-    return parse_problem(Path(args.problem).read_text(encoding="utf-8"), ctx)
+    return parse_problem(Path(args.problem).read_text(encoding="utf-8-sig"), ctx)
 
 
 def _config(args, order: int) -> SolveConfig:
@@ -205,6 +205,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (InvseriesError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: an expression nests too deeply to evaluate", file=sys.stderr)
         return 1
 
 

@@ -6,10 +6,10 @@ coordinate jets of ``eval_jet`` expand an expression around a point, and
 univariate jets along a curve give its Taylor coefficients on that curve.
 ``eval_partials`` gives the first partials at a point by forward mode, bit
 for bit the degree-1 coefficients of ``eval_jet`` at less cost; the
-solver's Jacobian comes from it.  ``nonlinear_part`` drops the affine
-summands of an expression: the path sweeps read only the top coefficient,
-where the seeds are 0, so an affine summand adds an exact 0 there and
-the sweeps skip it.
+solver's Jacobian comes from it.  The path sweeps read one coefficient,
+the top one, where the seeds are 0; ``eval_top`` computes just that
+coefficient, so an affine summand, which adds an exact 0 there, is
+never swept.
 
 File format (UTF-8, ``#`` starts a comment, keys in this order)::
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -109,11 +108,6 @@ class Problem:
     @property
     def nvars(self) -> int:
         return len(self.var_names)
-
-    @cached_property
-    def nonlinear_parts(self) -> tuple:
-        """Each equation's ``nonlinear_part``, built once per problem."""
-        return tuple(nonlinear_part(eq) for eq in self.equations)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -241,7 +235,10 @@ def parse_expression(text: str, var_indices: dict, line: int = 0) -> Expr:
     tokens = _tokenize(text, line)
     if not tokens:
         raise ParseError("empty expression", line)
-    return _ExprParser(tokens, var_indices, line).parse()
+    try:
+        return _ExprParser(tokens, var_indices, line).parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", line) from None
 
 
 # --- problem files -----------------------------------------------------------
@@ -405,43 +402,42 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def nonlinear_part(e: Expr) -> Expr | None:
-    """``e`` without its affine summands; None when ``e`` is affine.
+def eval_top(e: Expr, seeds, ctx: Context):
+    """Top coefficient of ``eval_jet_at(e, seeds, ctx)``; None if ``e`` is affine.
 
-    Along univariate seeds whose top coefficient is 0, an affine subtree's
-    top coefficient is an exact 0, and adding or subtracting an exact 0
-    leaves a value's bits unchanged (0 - y is -y exactly).  So the top
-    coefficient of ``eval_jet_at(nonlinear_part(e), ...)`` is bit for bit
-    that of ``e``.  The transform descends only through +, -, unary minus,
-    a literal factor and a literal divisor (``_is_literal``), which read
-    the top coefficient alone; every other product, quotient, power and call
-    needs its operands' lower coefficients and is kept whole.
+    The seeds are univariate of degree p with an exact 0 at degree p, so an
+    affine subtree's top coefficient is an exact 0: it is None here, never
+    swept, and adding or subtracting it would leave the bits unchanged
+    (0 - y is -y exactly).  +, -, unary minus, ^1 and a literal factor or
+    divisor (``_is_literal``) read their operand's top coefficient alone,
+    in ``jet_mul``'s order (a divisor as its one reciprocal).  Every other
+    product, quotient, power and call reads it from its full sweep.
     """
     if isinstance(e, (Const, Var)):
         return None
     if isinstance(e, Neg):
-        arg = nonlinear_part(e.arg)
-        return None if arg is None else Neg(arg)
+        top = eval_top(e.arg, seeds, ctx)
+        return None if top is None else -top
     if isinstance(e, BinOp):
         if e.op in "+-":
-            left, right = nonlinear_part(e.left), nonlinear_part(e.right)
+            left, right = eval_top(e.left, seeds, ctx), eval_top(e.right, seeds, ctx)
             if right is None:
                 return left
             if left is None:
-                return right if e.op == "+" else Neg(right)
-            return BinOp(e.op, left, right)
+                return right if e.op == "+" else -right
+            return left + right if e.op == "+" else left - right
         if e.op == "*" and _is_literal(e.left):
-            inner = nonlinear_part(e.right)
-            return None if inner is None else BinOp("*", e.left, inner)
+            top = eval_top(e.right, seeds, ctx)
+            return None if top is None else eval_scalar(e.left, (), ctx) * top
         if _is_literal(e.right):
-            inner = nonlinear_part(e.left)
-            return None if inner is None else BinOp(e.op, inner, e.right)
-        return e
-    if isinstance(e, Power):
-        if e.exponent == 0 or (e.exponent == 1 and nonlinear_part(e.base) is None):
-            return None
-        return e
-    return e
+            top = eval_top(e.left, seeds, ctx)
+            if top is None:
+                return None
+            c = eval_scalar(e.right, (), ctx)
+            return top * (c if e.op == "*" else univariate_series("recip", c, 0, ctx)[0])
+    if isinstance(e, Power) and e.exponent < 2:
+        return eval_top(e.base, seeds, ctx) if e.exponent else None
+    return eval_jet_at(e, seeds, ctx).coeffs[(seeds[0].max_degree,)]
 
 
 def eval_jet(e: Expr, point: MPVector, max_degree: int, ctx: Context) -> TaylorPoly:

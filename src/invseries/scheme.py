@@ -24,9 +24,9 @@ from .errors import SchemeSizeError, ShapeMismatchError
 from .expr import (
     Problem,
     eval_jet,
-    eval_jet_at,
     eval_partials,
     eval_scalar,
+    eval_top,
 )
 from .numerics import MPMatrix, MPVector, lu_invert
 from .taylor import (
@@ -172,11 +172,10 @@ def build_terms(
     the degree-p coefficient of f(x(t)) vanishes; it is J·x_p + c_p, where
     c_p is that coefficient of f along the path known so far (x_p left 0),
     one univariate jet sweep of degree p.  So x_p = -J^-1·c_p, and one LU
-    of J serves every p.  The sweep runs over each equation's
-    ``nonlinear_part`` only (``Problem.nonlinear_parts``, built once per
-    problem): its affine summands add exact zeros to c_p, and an affine
-    equation has c_p = 0 without a sweep.  Every error the full trees
-    could raise there, ``jacobian`` raises first at the same point.
+    of J serves every p.  ``eval_top`` computes c_p alone: an affine
+    summand adds an exact 0 to it and is not swept, and an affine equation
+    has c_p = 0 without a sweep.  Every error the skipped subtrees could
+    raise there, ``jacobian`` raises first at the same point.
     """
     if terms < 1:
         raise ValueError(f"terms must be at least 1, got {terms}")
@@ -186,16 +185,12 @@ def build_terms(
     ctx = problem.context
     X0 = lu_invert(jacobian(problem, point), ctx)
     path = [list(point), _mat_vec(X0, direction)]
-    parts = problem.nonlinear_parts if terms >= 2 else ()
     for p in range(2, terms + 1):
         keys = multi_indices(1, p)
         seeds = [
             TaylorPoly(ctx, 1, p, dict(zip(keys, (*xs, ctx.zero)))) for xs in zip(*path)
         ]
-        c = [
-            ctx.zero if part is None else eval_jet_at(part, seeds, ctx).coeffs[(p,)]
-            for part in parts
-        ]
+        c = [eval_top(eq, seeds, ctx) or ctx.zero for eq in problem.equations]
         path.append([-x for x in _mat_vec(X0, c)])
     return [MPVector(xs) for xs in path[1:]]
 

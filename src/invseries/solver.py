@@ -37,7 +37,7 @@ class Status(Enum):
 class SolveConfig:
     """Loop controls for one solve.
 
-    ``order`` must lie in 2..``MAX_ORDER``.  ``tol``, a positive number
+    ``order`` must lie in 2..``MAX_ORDER``.  ``tol``, a finite positive number
     (text is parsed by mpmath, so "1e-900" stays positive), stops the
     iteration once the step max-norm falls to or below it; None selects
     10^-(precision - min(50, precision // 2)), so the default never exceeds
@@ -55,8 +55,8 @@ class SolveConfig:
         check_order(self.order)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol is not None and not mpmath.mpf(self.tol) > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.tol is not None and not 0 < mpmath.mpf(self.tol) < mpmath.inf:
+            raise ValueError(f"tol must be a finite positive number, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,44 @@ def test_zero_denominator_at_the_start_exits_1_without_traceback(capsys, tmp_pat
     assert err == "error: iteration 0: division by zero\n"
 
 
+def test_a_byte_order_mark_is_read_as_utf8(capsys, tmp_path):
+    text = "vars: x\neq: x^2 - 2\nstart: 1\n"
+    plain, marked = tmp_path / "plain.prob", tmp_path / "marked.prob"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    runs = [
+        run(capsys, "solve", "--problem", str(f), "--precision", "50")
+        for f in (plain, marked)
+    ]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_solve_rejects_an_infinite_tol(capsys):
+    code, out, err = run(
+        capsys, "solve", "--builtin", "incas-2var", "--tol", "inf", "--precision", "50"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: tol must be a finite positive number, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "equation, err",
+    [
+        (
+            " + ".join(["0.001*x^2"] * 1000) + " - 1",
+            "error: an expression nests too deeply to evaluate\n",
+        ),
+        ("(" * 250 + "x^2 - 2" + ")" * 250, "error: line 2: expression nests too deeply\n"),
+    ],
+    ids=["long-sum", "deep-parentheses"],
+)
+def test_too_deep_an_expression_exits_1_with_one_error_line(capsys, tmp_path, equation, err):
+    f = tmp_path / "deep.prob"
+    f.write_text(f"vars: x\neq: {equation}\nstart: 1\n")
+    assert run(capsys, "solve", "--problem", str(f), "--precision", "30") == (1, "", err)
+
+
 @pytest.mark.parametrize("digits", ["0", "-3"])
 def test_solve_rejects_bad_digits_before_solving(capsys, monkeypatch, digits):
     def no_solve(*args, **kwargs):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invseries import expr
 from invseries.errors import (
     DivisionByZeroJetError,
     DomainError,
@@ -20,7 +21,7 @@ from invseries.expr import (
     eval_jet_at,
     eval_partials,
     eval_scalar,
-    nonlinear_part,
+    eval_top,
     parse_expression,
     parse_problem,
 )
@@ -263,10 +264,11 @@ def test_gradient_refuses_what_the_jet_refuses():
             assert type(caught.value) is error and str(caught.value) == message
 
 
-def test_nonlinear_part_of_the_two_variable_system():
-    problem = parse_problem(TWO_VAR_TEXT, CTX)
-    parts = [nonlinear_part(eq) for eq in problem.equations]
-    assert parts == [None, parse_expression("x1^2 + x2^2", VARS)]
+# univariate seeds of degree 3 whose top coefficients are 0, as in the path sweeps
+TOP_SEEDS = [
+    TaylorPoly(CTX, 1, 3, dict(zip(multi_indices(1, 3), map(CTX.mp.mpf, cs))))
+    for cs in (("0.7", "1.3", "-0.4", 0), ("1.1", "-0.6", "0.25", 0))
+]
 
 
 @pytest.mark.parametrize(
@@ -286,11 +288,34 @@ def test_nonlinear_part_of_the_two_variable_system():
         ("1/(x1 + 2) + x1^2", "1/(x1 + 2) + x1^2"),
         ("- 0.5*(x1 + 1) + x1*x2", "x1*x2"),
         ("x1*x2 + x2/-4", "x1*x2"),
+        # the equations of TWO_VAR_TEXT
+        ("x1 - x2", None),
+        ("x1^2 + x2^2 - 2", "x1^2 + x2^2"),
     ],
 )
-def test_nonlinear_part_drops_affine_summands(text, expected):
-    found = nonlinear_part(parse_expression(text, VARS))
-    assert found == (None if expected is None else parse_expression(expected, VARS))
+def test_nonlinear_part_drops_affine_summands(monkeypatch, text, expected):
+    """``eval_top`` is bit for bit the top coefficient of the full sweep and
+    of the sweep of ``expected``, the expression without its affine
+    summands; an affine expression is None, and no jet is built for it."""
+    e = parse_expression(text, VARS)
+    full = eval_jet_at(e, TOP_SEEDS, CTX).coeffs[(3,)]
+    built = []
+
+    def counting(fn):
+        def call(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(expr, "eval_jet_at", counting(eval_jet_at))
+    monkeypatch.setattr(expr, "jet_mul", counting(jet_mul))
+    top = eval_top(e, TOP_SEEDS, CTX)
+    if expected is None:
+        assert top is None and built == [] and full == 0
+    else:
+        part = eval_jet_at(parse_expression(expected, VARS), TOP_SEEDS, CTX)
+        assert top._mpf_ == full._mpf_ == part.coeffs[(3,)]._mpf_ and built
 
 
 def test_eval_jet_constant_expression():

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and every
-public function or class is used by the package or documented.
+public function, class, method or property is used by the package or
+documented.
 
 The package root re-exports names, so it is left out.
 """
@@ -49,30 +50,47 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _units(stmt):
+    """(qualified name or "", node) for a top-level statement, then for each
+    method or property of a public class."""
+    named = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    yield (stmt.name if named else ""), stmt
+    if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+        for member in stmt.body:
+            if isinstance(member, ast.FunctionDef):
+                yield f"{stmt.name}.{member.name}", member
+
+
 def unused_public_names(sources: dict, readme: str) -> list[str]:
-    """Public top-level functions and classes that no other top-level
-    statement of the modules reads and the README does not name.
+    """Public top-level functions and classes, and public methods and
+    properties of public classes, that no other statement of the modules
+    reads and the README does not name.
 
     ``sources`` maps a module name to its source.  A name read only inside
-    its own definition (recursion) counts as unused: code that only the
-    tests call belongs in the tests.
+    its own definition (recursion), its class or its members counts as
+    unused: code that only the tests call belongs in the tests.  A method
+    counts as read wherever its name is read, on any object.
     """
-    defined, read = {}, set()
+    defined, units = {}, []
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if not own.startswith("_"):
-                    defined[own] = module
-            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-            read |= names - {own}
-    return sorted(
-        f"{module}.{name}"
-        for name, module in defined.items()
-        if name not in read and not re.search(rf"\b{name}\b", readme)
-    )
+            for qualname, node in _units(stmt):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                units.append((qualname, names))
+                if qualname and not qualname.rpartition(".")[2].startswith("_"):
+                    defined[qualname] = module
+
+    def unused(qualname):
+        own = qualname.rpartition(".")[2]
+        related = (qualname, qualname.partition(".")[0])
+        return not re.search(rf"\b{own}\b", readme) and not any(
+            own in names
+            for q, names in units
+            if q not in related and not q.startswith(qualname + ".")
+        )
+
+    return sorted(f"{module}.{q}" for q, module in defined.items() if unused(q))
 
 
 def test_the_check_sees_a_test_only_name():
@@ -81,6 +99,21 @@ def test_the_check_sees_a_test_only_name():
         "b": "from .a import used\n\nclass Documented:\n    x = used()\n",
     }
     assert unused_public_names(sources, "`Documented` is public") == ["a.only_tests"]
+
+
+def test_the_check_sees_a_test_only_method():
+    sources = {
+        "a": (
+            "class Thing:\n"
+            "    def used(self):\n        return self._helper()\n\n"
+            "    def _helper(self):\n        return 1\n\n"
+            "    @property\n    def size(self):\n        return self.used()\n\n"
+            "    def only_tests(self):\n        return self.only_tests()\n\n"
+            "class _Private:\n    def unread(self):\n        return 0\n"
+        ),
+        "b": "from .a import Thing\n\nSIZE = Thing().size\n",
+    }
+    assert unused_public_names(sources, "") == ["a.Thing.only_tests"]
 
 
 def test_every_public_name_is_used_or_documented():

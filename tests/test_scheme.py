@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invseries import expr, scheme
+from invseries import scheme
 from invseries.corpus import BUILTIN_NAMES, builtin_problem
 from invseries.errors import (
     DivisionByZeroJetError,
@@ -23,7 +23,7 @@ from invseries.expr import (
     eval_jet,
     eval_jet_at,
     eval_scalar,
-    nonlinear_part,
+    eval_top,
     parse_expression,
     parse_problem,
 )
@@ -405,7 +405,7 @@ def test_path_update_matches_tensor_reference_through_every_node_kind(problem, k
     assert norm_inf(mine.sub(ref)) <= scale * CTX.pow10(-CTX.precision + 20)
 
 
-# affine summands in every position nonlinear_part prunes (A - N, N - A,
+# affine summands in every position eval_top prunes (A - N, N - A,
 # a constant factor on either side, a constant divisor, ^0 and ^1), and
 # one affine equation
 AFFINE_SUMMANDS = (
@@ -428,8 +428,7 @@ def test_sweeping_the_nonlinear_part_is_bitwise_the_full_sweep(problem, p):
     seeds = [TaylorPoly(CTX, 1, p, dict(zip(keys, (*xs, CTX.zero)))) for xs in zip(*path)]
     for eq in problem.equations:
         full = eval_jet_at(eq, seeds, CTX).coeffs[(p,)]
-        part = nonlinear_part(eq)
-        mine = CTX.zero if part is None else eval_jet_at(part, seeds, CTX).coeffs[(p,)]
+        mine = eval_top(eq, seeds, CTX) or CTX.zero
         assert mine._mpf_ == full._mpf_
 
 
@@ -528,23 +527,6 @@ def test_jacobian_raises_what_the_gradient_raises(equation, error, message):
         assert type(caught.value) is error and str(caught.value) == message
 
 
-def test_nonlinear_parts_are_built_once_per_problem(monkeypatch):
-    p = problem_from(TWO_VAR, CTX)
-    calls = []
-
-    def counting(e):
-        calls.append(e)
-        return nonlinear_part(e)
-
-    monkeypatch.setattr(expr, "nonlinear_part", counting)
-    build_terms(p, p.start, neg_f(p, p.start), 4)
-    first = len(calls)
-    assert all(eq in calls for eq in p.equations)
-    build_terms(p, p.start, neg_f(p, p.start), 4)
-    assert len(calls) == first
-    assert p.nonlinear_parts == tuple(nonlinear_part(eq) for eq in p.equations)
-
-
 def test_build_terms_uses_one_lu_and_no_series_inverse(monkeypatch):
     p = problem_from(TWO_VAR, CTX)
     calls = []
@@ -570,7 +552,7 @@ def test_a_warm_sweep_leaves_no_cyclic_garbage():
     """Every object a step builds is freed by reference counting alone."""
     p = builtin_problem("incas-3var", Context(100))
     direction = neg_f(p, p.start)
-    build_terms(p, p.start, direction, 4)  # fills the per-problem and memo caches
+    build_terms(p, p.start, direction, 4)  # fills the memo caches
     gc.collect()
     gc.disable()
     try:

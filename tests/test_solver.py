@@ -18,7 +18,7 @@ def test_config_validation():
         SolveConfig(order=1)
     with pytest.raises(ValueError):
         SolveConfig(order=2, max_iters=0)
-    for bad in ("-1", "0", "abc"):
+    for bad in ("-1", "0", "abc", "inf", "nan"):
         with pytest.raises(ValueError):
             SolveConfig(order=2, tol=bad)
     SolveConfig(order=2, tol="1e-900")  # below the smallest float, still positive
