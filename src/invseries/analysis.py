@@ -190,6 +190,13 @@ def _cells(trace: IterationTrace, sig_digits: int):
     return header, body
 
 
+def markdown_table(header, body) -> str:
+    """A markdown table: the header row, its rule, then one line per row."""
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(cells) + " |" for cells in body]
+    return "\n".join(lines)
+
+
 def render_table(
     trace: IterationTrace, sig_digits: int = SOLUTION_DIGITS, format: str = "markdown"
 ) -> str:
@@ -203,12 +210,7 @@ def render_table(
         raise ValueError(f"format must be one of {TABLE_FORMATS}, got {format!r}")
     header, body = _cells(trace, sig_digits)
     if format == "markdown":
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join("---" for _ in header) + "|",
-        ]
-        lines += ["| " + " | ".join(cells) + " |" for cells in body]
-        return "\n".join(lines)
+        return markdown_table(header, body)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

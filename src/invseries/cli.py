@@ -18,6 +18,7 @@ from .analysis import (
     estimate_order_known_root,
     estimate_order_successive,
     estimator_window,
+    markdown_table,
     nearest_root,
     render_table,
 )
@@ -131,6 +132,29 @@ def cmd_tables(args) -> int:
     return 0
 
 
+def _order_row(problem, order: int, trace) -> tuple[list, bool]:
+    """The order-check cells of one solve, and whether its verdict passes."""
+    cells, summaries = [str(order)], []
+    estimators = [lambda: estimate_order_successive(trace)]
+    if problem.known_roots:
+        root = nearest_root(problem, trace.rows[-1].x)
+        estimators.insert(0, lambda: estimate_order_known_root(trace, root))
+    else:
+        cells.append("no-root")
+    for estimate in estimators:
+        try:
+            summaries.append(estimate().summary)
+            cells.append(f"{summaries[-1]:.3f}")
+        except InsufficientDataError:
+            cells.append("insufficient-data")
+    if summaries:
+        ok = all(abs(s - order) <= ORDER_CHECK_SLACK for s in summaries)
+        return cells + ["ok" if ok else "FAIL"], ok
+    ok = trace.status is Status.CONVERGED
+    reason = "converged too fast to measure" if ok else trace.status.value
+    return cells + [f"no-data ({reason})"], ok
+
+
 def cmd_order_check(args) -> int:
     try:
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
@@ -151,42 +175,11 @@ def cmd_order_check(args) -> int:
     problem = _load_problem(args, ctx)
     for root in problem.known_roots:
         check_root(problem, root)
-    print("| order | known_root | successive | verdict |")
-    print("|---|---|---|---|")
-    all_ok = True
-    for config in configs:
-        order = config.order
-        trace = solve(problem, config)
-        summaries = []
-        cells = []
-        if problem.known_roots:
-            try:
-                root = nearest_root(problem, trace.rows[-1].x)
-                est = estimate_order_known_root(trace, root)
-                summaries.append(est.summary)
-                cells.append(f"{est.summary:.3f}")
-            except InsufficientDataError:
-                cells.append("insufficient-data")
-        else:
-            cells.append("no-root")
-        try:
-            est = estimate_order_successive(trace)
-            summaries.append(est.summary)
-            cells.append(f"{est.summary:.3f}")
-        except InsufficientDataError:
-            cells.append("insufficient-data")
-        if not summaries and trace.status is Status.CONVERGED:
-            verdict = "no-data (converged too fast to measure)"
-        elif not summaries:
-            verdict = f"no-data ({trace.status.value})"
-            all_ok = False
-        elif all(abs(s - order) <= ORDER_CHECK_SLACK for s in summaries):
-            verdict = "ok"
-        else:
-            verdict = "FAIL"
-            all_ok = False
-        print(f"| {order} | {cells[0]} | {cells[1]} | {verdict} |")
-    return 0 if all_ok else 2
+    # every row is decided before anything is printed
+    rows = [_order_row(problem, c.order, solve(problem, c)) for c in configs]
+    header = ["order", "known_root", "successive", "verdict"]
+    print(markdown_table(header, [cells for cells, _ in rows]))
+    return 0 if all(ok for _, ok in rows) else 2
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ pipeline (scalars, vectors, matrices and jets alike).
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from fractions import Fraction
@@ -273,7 +274,8 @@ def format_scalar(x, sig_digits: int, strip_zeros: bool = False) -> str:
     while scaled < 1:
         scaled *= 10
         e10 -= 1
-    digits = str(int(scaled * 10 ** (sig_digits - 1)))
+    # decimal renders an int of any length; str(int) stops at 4,300 digits
+    digits = str(decimal.Decimal(int(scaled * 10 ** (sig_digits - 1))))
     if strip_zeros:
         digits = digits.rstrip("0") or "0"
     mantissa = digits[0] if len(digits) == 1 else f"{digits[0]}.{digits[1:]}"

@@ -43,7 +43,9 @@ MAX_ORDER = 8
 
 
 def check_order(order: int) -> None:
-    """Refuse a convergence order k outside 2..``MAX_ORDER``."""
+    """Refuse a convergence order k that is not an int in 2..``MAX_ORDER``."""
+    if not isinstance(order, int):
+        raise ValueError(f"order must be an int, got {order!r}")
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")
     if order > MAX_ORDER:

@@ -21,8 +21,8 @@ from .expr import Problem
 from .numerics import DEFAULT_PRECISION, MPVector, norm_inf
 from .scheme import apply_update, build_terms, check_order, evaluate_system
 
-# consecutive step-norm increases (each also above the first step) that
-# declare divergence
+# a run of this many strict step-norm increases, ending above the first
+# step, declares divergence (see ``diverged``)
 DIVERGENCE_WINDOW = 3
 
 
@@ -37,13 +37,13 @@ class Status(Enum):
 class SolveConfig:
     """Loop controls for one solve.
 
-    ``order`` must lie in 2..``MAX_ORDER``.  ``tol``, a finite positive number
-    (text is parsed by mpmath, so "1e-900" stays positive), stops the
-    iteration once the step max-norm falls to or below it; None selects
+    ``order`` must be an int in 2..``MAX_ORDER`` and ``max_iters`` an int
+    >= 1.  ``tol``, a finite positive number (text is parsed by mpmath, so
+    "1e-900" stays positive), stops the iteration once the step max-norm
+    falls to or below it; None selects
     10^-(precision - min(50, precision // 2)), so the default never exceeds
-    10^-(precision // 2).  Divergence is declared after
-    ``DIVERGENCE_WINDOW`` consecutive step-norm increases that also exceed
-    the first step.
+    10^-(precision // 2).  Divergence is declared once ``DIVERGENCE_WINDOW``
+    consecutive step-norm increases end above the first step (``diverged``).
     """
 
     order: int
@@ -53,8 +53,8 @@ class SolveConfig:
 
     def __post_init__(self):
         check_order(self.order)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         if self.tol is not None and not 0 < mpmath.mpf(self.tol) < mpmath.inf:
             raise ValueError(f"tol must be a finite positive number, got {self.tol}")
 
@@ -85,6 +85,14 @@ def _error_vs_root(problem: Problem, x: MPVector):
     return min(norm_inf(x.sub(root)) for root in problem.known_roots)
 
 
+def diverged(step_norms) -> bool:
+    """Whether the last ``DIVERGENCE_WINDOW + 1`` step norms rise strictly and
+    the newest exceeds the first."""
+    tail = step_norms[-DIVERGENCE_WINDOW - 1 :]
+    rising = len(tail) > DIVERGENCE_WINDOW and all(a < b for a, b in zip(tail, tail[1:]))
+    return rising and tail[-1] > step_norms[0]
+
+
 def resolve_tol(config: SolveConfig, ctx):
     if config.tol is None:
         guard = min(50, config.precision // 2)
@@ -97,7 +105,9 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
 
     The trace records every iterate with its step, step norm, residual
     norm, and (when roots are configured) the max-norm distance to the
-    nearest known root.
+    nearest known root.  A step ends the run as converged when its norm is
+    at or below the tolerance, else as diverged when ``diverged`` holds for
+    the step norms of the rows so far.
     """
     ctx = problem.context
     if ctx.precision != config.precision:
@@ -114,9 +124,6 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
         raise IterationError(0, str(exc)) from exc
     rows = [TraceRow(0, x, None, None, norm_inf(f_x), _error_vs_root(problem, x))]
     status = Status.MAX_ITERS
-    first_step_norm = None
-    prev_step_norm = None
-    increase_run = 0
 
     for it in range(1, config.max_iters + 1):
         try:
@@ -136,15 +143,8 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
         if snorm <= tol:
             status = Status.CONVERGED
             break
-        if first_step_norm is None:
-            first_step_norm = snorm
-        if prev_step_norm is not None and snorm > prev_step_norm:
-            increase_run += 1
-        else:
-            increase_run = 0
-        if increase_run >= DIVERGENCE_WINDOW and snorm > first_step_norm:
+        if diverged([row.step_norm for row in rows[1:]]):
             status = Status.DIVERGED
             break
-        prev_step_norm = snorm
 
     return IterationTrace(problem, rows, status)

@@ -14,6 +14,7 @@ from invseries.scheme import (
     jacobian_series,
     series_matrix_inverse,
 )
+from invseries.solver import DIVERGENCE_WINDOW
 from invseries.taylor import TaylorPoly, jet_add, jet_mul, jet_partial, multi_indices
 
 
@@ -268,3 +269,27 @@ def _fmt(e) -> tuple[str, int]:
 def format_expr(e) -> str:
     """Render an AST so that re-parsing yields a structurally identical tree."""
     return _fmt(e)[0]
+
+
+def counter_stop(step_norms, tol) -> tuple[int, str]:
+    """How a solve whose steps have these norms stops, decided by the
+    counters the loop once kept: (steps taken, status value).
+
+    The reference for ``solver.diverged``; the step budget is
+    ``len(step_norms)``.
+    """
+    first_step_norm = prev_step_norm = None
+    increase_run = 0
+    for it, snorm in enumerate(step_norms, start=1):
+        if snorm <= tol:
+            return it, "converged"
+        if first_step_norm is None:
+            first_step_norm = snorm
+        if prev_step_norm is not None and snorm > prev_step_norm:
+            increase_run += 1
+        else:
+            increase_run = 0
+        if increase_run >= DIVERGENCE_WINDOW and snorm > first_step_norm:
+            return it, "diverged"
+        prev_step_norm = snorm
+    return len(step_norms), "max-iters"

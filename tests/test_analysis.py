@@ -9,6 +9,7 @@ from invseries.analysis import (
     error_constant_check,
     estimate_order_known_root,
     estimate_order_successive,
+    markdown_table,
     render_table,
 )
 from invseries.errors import InsufficientDataError
@@ -164,6 +165,18 @@ def test_error_constant_needs_one_var(two_var):
     trace = solve(two_var, SolveConfig(order=2, precision=1000))
     with pytest.raises(ValueError):
         error_constant_check(trace, 2)
+
+
+def test_error_constant_refuses_a_non_integer_order(scalar_problem):
+    trace = solve(scalar_problem, SolveConfig(order=3, precision=1000))
+    with pytest.raises(ValueError, match="order must be an int, got 3.5"):
+        error_constant_check(trace, 3.5)
+
+
+def test_markdown_table_writes_header_rule_and_rows():
+    assert markdown_table(["a", "b"], [["1", "2"], ["3", "4"]]) == (
+        "| a | b |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |"
+    )
 
 
 def test_render_markdown_reference_prefix(two_var):

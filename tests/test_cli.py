@@ -133,6 +133,15 @@ def test_too_deep_an_expression_exits_1_with_one_error_line(capsys, tmp_path, eq
     assert run(capsys, "solve", "--problem", str(f), "--precision", "30") == (1, "", err)
 
 
+def test_solve_prints_more_digits_than_str_int_allows(capsys):
+    code, out, err = run(
+        capsys, "solve", "--builtin", "incas-2var", "--precision", "300",
+        "--digits", "4301",
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith("status: converged\n")
+
+
 @pytest.mark.parametrize("digits", ["0", "-3"])
 def test_solve_rejects_bad_digits_before_solving(capsys, monkeypatch, digits):
     def no_solve(*args, **kwargs):
@@ -254,6 +263,28 @@ def test_order_check_rejects_an_inexact_root_before_output(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: supplied root has residual 6.7121e-9;")
+
+
+@pytest.mark.parametrize(
+    "equation, start, err",
+    [
+        ("log(x)", "-1", "error: iteration 0: log of a non-positive value\n"),
+        (
+            " + ".join(["0.001*x^2"] * 1000) + " - 1",
+            "1",
+            "error: an expression nests too deeply to evaluate\n",
+        ),
+    ],
+    ids=["domain-error", "too-deep"],
+)
+def test_order_check_prints_nothing_when_a_solve_raises(
+    capsys, tmp_path, equation, start, err
+):
+    f = tmp_path / "raises.prob"
+    f.write_text(f"vars: x\neq: {equation}\nstart: {start}\n")
+    assert run(
+        capsys, "order-check", "--problem", str(f), "--precision", "200"
+    ) == (1, "", err)
 
 
 def test_order_check_bad_orders_flag(capsys):

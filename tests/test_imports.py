@@ -1,6 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-public function, class, method or property is used by the package or
-documented.
+"""Every module of the package uses each name it imports, every public
+function, class, method or property is used by the package or
+documented, and every private top-level function or class is read.
 
 The package root re-exports names, so it is left out.
 """
@@ -50,6 +50,12 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _read_names(node) -> set:
+    """Every name and attribute name that ``node`` reads."""
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def _units(stmt):
     """(qualified name or "", node) for a top-level statement, then for each
     method or property of a public class."""
@@ -75,9 +81,7 @@ def unused_public_names(sources: dict, readme: str) -> list[str]:
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             for qualname, node in _units(stmt):
-                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-                units.append((qualname, names))
+                units.append((qualname, _read_names(node)))
                 if qualname and not qualname.rpartition(".")[2].startswith("_"):
                     defined[qualname] = module
 
@@ -119,3 +123,38 @@ def test_the_check_sees_a_test_only_method():
 def test_every_public_name_is_used_or_documented():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unused_public_names(sources, README.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(sources: dict) -> list[str]:
+    """Private top-level functions and classes that no other top-level
+    statement of the modules reads; reads inside their own definition
+    (recursion) do not count."""
+    bodies = {module: ast.parse(source).body for module, source in sources.items()}
+    reads = [(stmt, _read_names(stmt)) for body in bodies.values() for stmt in body]
+    return sorted(
+        f"{module}.{stmt.name}"
+        for module, body in bodies.items()
+        for stmt in body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    )
+
+
+def test_the_check_sees_a_private_orphan():
+    sources = {
+        "a": (
+            "def _read():\n    return 1\n\n"
+            "def _read_elsewhere():\n    return 2\n\n"
+            "def _orphan(n):\n    return _orphan(n - 1)\n\n"
+            "class _Orphan:\n    pass\n\n"
+            "def public():\n    return _read()\n"
+        ),
+        "b": "from . import a\n\nX = a._read_elsewhere()\n",
+    }
+    assert unused_private_names(sources) == ["a._Orphan", "a._orphan"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unused_private_names(sources) == []

@@ -87,6 +87,12 @@ def test_order_check_accepts_two_to_max_order():
         scheme.check_order(9)
 
 
+@pytest.mark.parametrize("order", [3.0, 3.5, "3"])
+def test_check_order_refuses_a_non_integer(order):
+    with pytest.raises(ValueError, match="order must be an int"):
+        scheme.check_order(order)
+
+
 @pytest.mark.parametrize("terms", [0, -3])
 def test_build_terms_refuses_fewer_than_one_term(terms):
     p = builtin_problem("incas-2var", CTX)

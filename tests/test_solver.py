@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,11 @@ from invseries import solver
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.errors import IterationError
-from invseries.numerics import Context, format_scalar, norm_inf
+from invseries.numerics import Context, MPVector, format_scalar, norm_inf
 from invseries.scheme import evaluate_system
 from invseries.solver import SolveConfig, Status, solve
 
-from helpers import update
+from helpers import counter_stop, update
 
 
 def test_config_validation():
@@ -22,6 +24,20 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SolveConfig(order=2, tol=bad)
     SolveConfig(order=2, tol="1e-900")  # below the smallest float, still positive
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"order": 3.5}, "order must be an int, got 3.5"),
+        ({"order": 3.0}, "order must be an int, got 3.0"),
+        ({"order": 3, "max_iters": 2.5}, "max_iters must be an int >= 1, got 2.5"),
+    ],
+    ids=["order-3.5", "order-3.0", "max-iters-2.5"],
+)
+def test_config_refuses_a_non_integer_count(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SolveConfig(**fields)
 
 
 def test_f_evaluated_once_per_iterate(two_var, monkeypatch):
@@ -168,6 +184,44 @@ def test_divergence_detected(ctx1000):
     trace = solve(p, SolveConfig(order=2, precision=1000))
     assert trace.status is Status.DIVERGED
     assert len(trace.rows) < 31
+
+
+@pytest.mark.parametrize(
+    "norms, expected",
+    [
+        ([5, 1, 2, 3, 4], False),  # rises for the window but ends below the first
+        ([1, 2, 3, 4], True),
+        ([1, 2, 2, 3, 4], False),  # a tie breaks the run
+        ([1, 2, 3], False),
+    ],
+)
+def test_diverged_reads_the_last_step_norms(norms, expected):
+    assert solver.diverged(norms) is expected
+
+
+# step norms as a walk from 3, so runs of rises, ties and tol hits are common
+STEP_NORMS = st.lists(st.integers(-2, 2), min_size=1, max_size=12).map(
+    lambda moves: list(accumulate(moves, lambda a, m: max(1, a + m), initial=3))[1:]
+)
+
+
+@given(norms=STEP_NORMS, tol=st.sampled_from(["0.5", "1", "2"]))
+@example(norms=[1, 2, 3, 4, 5], tol="0.5")
+@example(norms=[5, 1, 2, 3, 5], tol="0.5")  # the run ends level with the first step
+@settings(max_examples=300)
+def test_solve_stops_where_the_counters_stopped(ctx60, norms, tol):
+    """Divergence decided from the rows matches the counters the loop once
+    kept, ties and tol hits included."""
+    problem = parse_problem("vars: x\neq: x\nstart: 0\n", ctx60)
+    steps = iter(norms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "build_terms", lambda *args: None)
+        mp.setattr(solver, "apply_update", lambda _, x: MPVector([x[0] + next(steps)]))
+        config = SolveConfig(order=2, precision=60, max_iters=len(norms), tol=tol)
+        trace = solve(problem, config)
+    assert (len(trace.rows) - 1, trace.status.value) == counter_stop(
+        norms, ctx60.mp.mpf(tol)
+    )
 
 
 def test_error_vs_root_uses_nearest(two_var):
