@@ -42,12 +42,19 @@ root: 0.6 -1.8 3
 
 
 def _three_var_text(ctx: Context) -> str:
-    # roots are (r, -3r, 5r) with 35 r^2 = 3; materialize r with guard digits
+    """incas-3var at the context's precision, its roots written out as text.
+
+    The roots are (r, -3r, 5r) and (-r, 3r, -5r) with 35 r^2 = 3.  r, 3r
+    and 5r are each formatted once, with 25 guard digits from a context 30
+    digits finer; a negative coordinate is "-" and the positive one's
+    text, which is what ``format_scalar`` gives for its negation.
+    """
     scratch = Context(ctx.precision + 30)
     r = scratch.mp.sqrt(scratch.mp.mpf(3) / 35)
     digits = ctx.precision + 25
-    pos = [format_scalar(v, digits) for v in (r, -3 * r, 5 * r)]
-    neg = [format_scalar(v, digits) for v in (-r, 3 * r, -5 * r)]
+    r1, r3, r5 = (format_scalar(v, digits) for v in (r, 3 * r, 5 * r))
+    pos = [r1, f"-{r3}", r5]
+    neg = [f"-{r1}", r3, f"-{r5}"]
     return (
         "# two affine equations and a sphere\n"
         "vars: x1 x2 x3\n"

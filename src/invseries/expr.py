@@ -532,7 +532,12 @@ def _forward(node, xs, ctx, need):
         base = _forward(node.base, xs, ctx, n > 1 or (n == 1 and need))
         if n == 0:
             return ctx.one, {}
-        return binary_power(base, n, lambda a, b: _grad_mul(a, b, ctx.one, True))
+        # binary_power's products, counted down: the last one is the power,
+        # whose value is read only if ``need``; every earlier one is a factor
+        left = iter(range(n.bit_length() + n.bit_count() - 2, 0, -1))
+        return binary_power(
+            base, n, lambda a, b: _grad_mul(a, b, ctx.one, need or next(left) > 1)
+        )
     if isinstance(node, Call):
         return _grad_compose(node.fn, _forward(node.arg, xs, ctx, True), ctx)
     raise TypeError(f"not an expression node: {node!r}")

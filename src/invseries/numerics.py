@@ -11,15 +11,20 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import ften, from_int, from_rational, mpf_mul, mpf_pow_int, round_nearest
 
 from .errors import MalformedDecimalError, ShapeMismatchError, SingularMatrixError
 
 DEFAULT_PRECISION = 1000
 
-_DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
+# sign, integer digits, fraction digits, exponent sign and digits; the
+# lookahead asks for a digit before the exponent
+_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?)(\d+))?\Z")
+
+# mpmath rounds a decimal whose exponent is beyond this through 10^exp
+_EXACT_EXPONENT = 400
 
 
 # One mpmath context per precision, shared by every Context of that
@@ -66,10 +71,11 @@ class Context:
         self._elementary = {}
 
     def const(self, text: str):
-        """The value of a decimal literal the tokenizer matched, parsed once."""
+        """The value of a decimal literal the tokenizer matched, parsed once
+        by ``scalar_from_decimal``."""
         value = self._consts.get(text)
         if value is None:
-            value = self._consts[text] = self.mp.mpf(text)
+            value = self._consts[text] = scalar_from_decimal(text, self)
         return value
 
     def elementary(self, fn: str, x):
@@ -97,12 +103,60 @@ class Context:
         return f"Context(precision={self.precision})"
 
 
-def scalar_from_decimal(text: str, ctx: Context):
-    """Parse a signed decimal literal (optional exponent) at working precision."""
-    text = text.strip()
-    if not _DECIMAL_RE.fullmatch(text):
+# digits per int(str) call: within 640, the smallest digit limit Python allows
+_INT_CHUNK = 600
+
+
+def _digits_int(digits: str) -> int:
+    """The int of a digit string of any length ("" is 0), read in chunks,
+    since int(str) refuses more than the interpreter's digit limit."""
+    value = 0
+    for start in range(0, len(digits), _INT_CHUNK):
+        chunk = digits[start : start + _INT_CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def decimal_mpf(text: str, prec: int):
+    """The raw mpf of a signed decimal literal (optional exponent), rounded
+    to nearest at ``prec`` bits: the bits of mpmath's ``from_str``.
+
+    The fraction's trailing zeros are dropped and its digits folded into
+    the exponent.  An exponent beyond ±400 is applied as mpmath does, by a
+    product with 10^exp rounded at ``prec`` + 10 bits; a smaller one gives
+    the exactly rounded integer or quotient.  Unlike mpmath, no digit
+    string is read through ``int(str)``, so a literal of any length parses
+    whatever the interpreter's digit limit, and an empty part is 0.
+    """
+    match = _DECIMAL_RE.fullmatch(text.strip())
+    if match is None:
         raise MalformedDecimalError(f"not a decimal literal: {text!r}")
-    return ctx.mp.mpf(text)
+    sign, whole, frac, exp_sign, exp_digits = match.groups("")
+    frac = frac.rstrip("0")
+    man = _digits_int(whole + frac)
+    exp = _digits_int(exp_digits)
+    if sign == "-":
+        man = -man
+    if exp_sign == "-":
+        exp = -exp
+    exp -= len(frac)
+    if abs(exp) > _EXACT_EXPONENT:
+        scale = mpf_pow_int(ften, exp, prec + 10)
+        return mpf_mul(from_int(man, prec + 10), scale, prec, round_nearest)
+    if exp >= 0:
+        return from_int(man * 10**exp, prec, round_nearest)
+    return from_rational(man, 10**-exp, prec, round_nearest)
+
+
+def scalar_from_decimal(text: str, ctx: Context):
+    """Parse a signed decimal literal (optional exponent) at working precision.
+
+    The one decimal parser: start and root values, expression literals
+    (through ``Context.const``) and a text ``tol`` all come here.  The
+    value has the bits of ``ctx.mp.mpf(text)`` (see ``decimal_mpf``),
+    with no limit on the literal's length.
+    """
+    return ctx.mp.make_mpf(decimal_mpf(text, ctx.mp.prec))
 
 
 class MPVector:
@@ -246,36 +300,42 @@ def lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     return MPMatrix(zip(*cols))
 
 
-def _exact_fraction(x) -> Fraction:
-    """The exact rational value of a finite mpmath float."""
-    sign, man, exp, _ = x._mpf_
-    fr = Fraction(int(man)) * Fraction(2) ** exp
-    return -fr if sign else fr
-
-
 def format_scalar(x, sig_digits: int, strip_zeros: bool = False) -> str:
     """Render ``<mantissa>e<exp>`` with the mantissa truncated toward zero.
 
-    Truncation (not rounding) is exact: digits are extracted by integer
-    arithmetic on the binary representation, so output is deterministic
-    and byte-identical across runs.
+    Truncation (not rounding) is exact: with |x| = man·2^exp and the
+    decimal exponent e10 of |x|, the digits are the integer
+    q = floor(man·10^k·2^exp), k = sig_digits − 1 − e10, formed by one
+    power of ten, one shift and, when k < 0, one floor division.  e10
+    starts from the bit length and is right once 10^(sig_digits−1) <= q <
+    10^sig_digits.  So the output is deterministic and byte-identical
+    across runs, and q of any length is written out through ``decimal``.
     """
     if sig_digits < 1:
         raise ValueError("sig_digits must be positive")
     if x == 0:
         return "0"
-    sign, _, exp, bc = x._mpf_
-    fr = abs(_exact_fraction(x))
+    sign, man, exp, bc = x._mpf_
+    if not man:
+        raise ValueError(f"cannot format a non-finite value: {x}")
+    man = int(man)
+    low = 10 ** (sig_digits - 1)
     e10 = math.floor((exp + bc - 1) * math.log10(2))
-    scaled = fr / Fraction(10) ** e10
-    while scaled >= 10:
-        scaled /= 10
+    while True:
+        k = sig_digits - 1 - e10
+        q = man * 10**k if k > 0 else man
+        q = q << exp if exp >= 0 else q >> -exp
+        if k < 0:
+            q //= 10**-k
+        if q >= low:
+            break
+        e10 -= 1  # float rounding put the estimate above log10|x|
+    high = low * 10
+    while q >= high:
+        # floor(floor(y) / 10) = floor(y / 10): one digit fewer is exact
+        q //= 10
         e10 += 1
-    while scaled < 1:
-        scaled *= 10
-        e10 -= 1
-    # decimal renders an int of any length; str(int) stops at 4,300 digits
-    digits = str(decimal.Decimal(int(scaled * 10 ** (sig_digits - 1))))
+    digits = str(decimal.Decimal(q))
     if strip_zeros:
         digits = digits.rstrip("0") or "0"
     mantissa = digits[0] if len(digits) == 1 else f"{digits[0]}.{digits[1:]}"

@@ -16,9 +16,15 @@ from typing import Optional
 
 import mpmath
 
-from .errors import DomainError, IterationError, SingularMatrixError
+from .errors import DomainError, IterationError, MalformedDecimalError, SingularMatrixError
 from .expr import Problem
-from .numerics import DEFAULT_PRECISION, MPVector, norm_inf
+from .numerics import (
+    DEFAULT_PRECISION,
+    MPVector,
+    decimal_mpf,
+    norm_inf,
+    scalar_from_decimal,
+)
 from .scheme import apply_update, build_terms, check_order, evaluate_system
 
 # a run of this many strict step-norm increases, ending above the first
@@ -38,9 +44,9 @@ class SolveConfig:
     """Loop controls for one solve.
 
     ``order`` must be an int in 2..``MAX_ORDER`` and ``max_iters`` an int
-    >= 1.  ``tol``, a finite positive number (text is parsed by mpmath, so
-    "1e-900" stays positive), stops the iteration once the step max-norm
-    falls to or below it; None selects
+    >= 1.  ``tol``, a finite positive number (text is a decimal literal,
+    parsed by ``scalar_from_decimal``, so "1e-900" stays positive), stops
+    the iteration once the step max-norm falls to or below it; None selects
     10^-(precision - min(50, precision // 2)), so the default never exceeds
     10^-(precision // 2).  Divergence is declared once ``DIVERGENCE_WINDOW``
     consecutive step-norm increases end above the first step (``diverged``).
@@ -55,8 +61,19 @@ class SolveConfig:
         check_order(self.order)
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
-        if self.tol is not None and not 0 < mpmath.mpf(self.tol) < mpmath.inf:
+        if self.tol is not None and not _finite_positive(self.tol):
             raise ValueError(f"tol must be a finite positive number, got {self.tol}")
+
+
+def _finite_positive(tol) -> bool:
+    if not isinstance(tol, str):
+        return 0 < mpmath.mpf(tol) < mpmath.inf
+    try:
+        # a decimal is finite, and its sign and zeroness hold at any precision
+        sign, man, _, _ = decimal_mpf(tol, 53)
+    except MalformedDecimalError:
+        return False
+    return not sign and man != 0
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,8 @@ def resolve_tol(config: SolveConfig, ctx):
     if config.tol is None:
         guard = min(50, config.precision // 2)
         return ctx.pow10(-(config.precision - guard))
+    if isinstance(config.tol, str):
+        return scalar_from_decimal(config.tol, ctx)
     return ctx.mp.mpf(config.tol)
 
 

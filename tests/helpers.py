@@ -1,6 +1,8 @@
 """Matrix, jet and update helpers that only the tests need."""
 
+import decimal
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -293,3 +295,27 @@ def counter_stop(step_norms, tol) -> tuple[int, str]:
             return it, "diverged"
         prev_step_norm = snorm
     return len(step_norms), "max-iters"
+
+
+def reference_format_scalar(x, sig_digits: int, strip_zeros: bool = False) -> str:
+    """``numerics.format_scalar`` in ``Fraction`` arithmetic: x's exact
+    rational value scaled by 10 until one digit is left of the point."""
+    if sig_digits < 1:
+        raise ValueError("sig_digits must be positive")
+    if x == 0:
+        return "0"
+    sign, man, exp, bc = x._mpf_
+    fr = Fraction(int(man)) * Fraction(2) ** exp
+    e10 = math.floor((exp + bc - 1) * math.log10(2))
+    scaled = fr / Fraction(10) ** e10
+    while scaled >= 10:
+        scaled /= 10
+        e10 += 1
+    while scaled < 1:
+        scaled *= 10
+        e10 -= 1
+    digits = str(decimal.Decimal(int(scaled * 10 ** (sig_digits - 1))))
+    if strip_zeros:
+        digits = digits.rstrip("0") or "0"
+    mantissa = digits[0] if len(digits) == 1 else f"{digits[0]}.{digits[1:]}"
+    return f"{'-' if sign else ''}{mantissa}e{e10}"

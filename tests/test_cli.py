@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import invseries
 from invseries import cli
 from invseries.cli import main
 
@@ -140,6 +145,97 @@ def test_solve_prints_more_digits_than_str_int_allows(capsys):
     )
     assert (code, err) == (0, "")
     assert out.endswith("status: converged\n")
+
+
+def test_solve_reads_roots_longer_than_str_int_allows(capsys):
+    # incas-3var writes its roots at precision + 25 = 4,302 digits
+    code, out, err = run(capsys, "solve", "--builtin", "incas-3var", "--precision", "4277")
+    assert (code, err) == (0, "")
+    assert out.endswith("status: converged\n")
+
+
+def _solve_file(capsys, tmp_path, text, *flags):
+    f = tmp_path / "p.prob"
+    f.write_text(text)
+    return run(capsys, "solve", "--problem", str(f), "--precision", "50", *flags)
+
+
+def test_a_literal_with_no_integer_digits_adds_zero(capsys, tmp_path):
+    plain = _solve_file(capsys, tmp_path, "vars: x\neq: x^2 - 1\nstart: 4\n")
+    padded = _solve_file(capsys, tmp_path, "vars: x\neq: x^2 - 1 + .0\nstart: 4\n")
+    assert padded == plain and plain[0] == 0
+
+
+@pytest.mark.parametrize("start", [".0", "-.000e5"])
+def test_a_start_with_no_integer_digits_is_zero(capsys, tmp_path, start):
+    code, out, err = _solve_file(capsys, tmp_path, f"vars: x\neq: x - 1\nstart: {start}\n")
+    assert (code, err) == (0, "")
+    assert "| 0 | 0 | - |" in out
+
+
+def test_solve_rejects_a_zero_tol_without_integer_digits(capsys):
+    code, out, err = run(
+        capsys, "solve", "--builtin", "incas-2var", "--tol", ".0", "--precision", "50"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: tol must be a finite positive number, got .0\n"
+
+
+# the smallest digit limit Python accepts for int <-> str conversions
+SMALLEST_INT_DIGIT_LIMIT = 640
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter has no int <-> str digit limit",
+)
+
+
+LIMIT_FLAG = ["-X", f"int_max_str_digits={SMALLEST_INT_DIGIT_LIMIT}"]
+
+
+def _child(*args, cwd=None):
+    """A child interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(invseries.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=600,
+    )
+
+
+def _run_limited(*argv, cwd=None):
+    """The CLI under the smallest int <-> str digit limit Python allows."""
+    return _child(*LIMIT_FLAG, "-m", "invseries.cli", *argv, cwd=cwd)
+
+
+@needs_int_digit_limit
+def test_1000_digit_runs_convert_no_long_int_through_str(tmp_path):
+    """Decimal text is read and written in chunks or through ``decimal``,
+    so a 1000-digit run works under the smallest int <-> str limit."""
+    solved = _run_limited(
+        "solve", "--builtin", "incas-3var", "--precision", "1000", "--digits", "1000"
+    )
+    assert (solved.returncode, solved.stderr) == (0, "")
+    assert solved.stdout.endswith("status: converged\n")
+    checked = _run_limited("order-check", "--builtin", "incas-3var", "--precision", "1000")
+    assert (checked.returncode, checked.stderr) == (0, "")
+    tables = _run_limited("tables", "--precision", "1000", "--out-dir", "t", cwd=tmp_path)
+    assert (tables.returncode, tables.stderr) == (0, "")
+    digests = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in (tmp_path / "t").iterdir()
+    }
+    assert digests == TABLE_DIGESTS
+
+
+@needs_int_digit_limit
+def test_import_leaves_the_int_digit_limit_alone():
+    probe = (
+        "import sys; before = sys.get_int_max_str_digits(); "
+        "import invseries, invseries.cli; "
+        "print(before, sys.get_int_max_str_digits())"
+    )
+    for flags in ([], LIMIT_FLAG):
+        before, after = _child(*flags, "-c", probe).stdout.split()
+        assert before == after
 
 
 @pytest.mark.parametrize("digits", ["0", "-3"])

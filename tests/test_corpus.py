@@ -1,8 +1,11 @@
 import pytest
 
+from invseries import corpus
 from invseries.corpus import BUILTIN_NAMES, builtin_problem
 from invseries.numerics import Context, norm_inf
 from invseries.scheme import evaluate_system
+
+from helpers import reference_format_scalar
 
 
 def test_names():
@@ -41,3 +44,19 @@ def test_two_var_shape(ctx1000):
         (1.0, 1.0),
         (-1.0, -1.0),
     }
+
+
+@pytest.mark.parametrize("precision", [300, 1000])
+def test_three_var_roots_are_the_reference_text_and_bits(precision):
+    """Each root coordinate formatted on its own, as the Fraction reference
+    does, gives the corpus text, and mpmath's parser its bits."""
+    ctx = Context(precision)
+    fine = Context(precision + 30)
+    r = fine.mp.sqrt(fine.mp.mpf(3) / 35)
+    roots = [(r, -3 * r, 5 * r), (-r, 3 * r, -5 * r)]
+    texts = [[reference_format_scalar(v, precision + 25) for v in root] for root in roots]
+    problem_text = corpus._three_var_text(ctx)
+    for root_texts in texts:
+        assert f"root: {' '.join(root_texts)}\n" in problem_text
+    got = [[v._mpf_ for v in root] for root in builtin_problem("incas-3var", ctx).known_roots]
+    assert got == [[ctx.mp.mpf(t)._mpf_ for t in root_texts] for root_texts in texts]

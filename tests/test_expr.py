@@ -202,6 +202,37 @@ def test_gradient_carries_the_jet_quotient_value():
     assert eval_partials(e, pt(1, 3), CTX) == {0: r, 1: 1 * (-r * r * 1)}
 
 
+@pytest.mark.parametrize(
+    "text, products",
+    [
+        ("x1^2 + x2", 0),  # 2·x1 is a sum: the square itself is never read
+        ("x1^3 + x2", 2),  # x1·x1 for the cube's partial, then x1·(2·x1)
+        ("x1^3 * x2", 4),  # a factor's value is read: x1·x1·x1 too, and x1^3·1 is skipped
+    ],
+)
+def test_gradient_values_a_power_only_when_read(monkeypatch, text, products):
+    """The last product of ``binary_power`` is the power, valued only for a
+    caller that reads it; the partials keep the jet's bits."""
+    e = parse_expression(text, VARS)
+    point = pt("0.7", "1.3")
+    mpf = type(CTX.one)
+    count = []
+    plain_mul = mpf.__mul__
+
+    def counted_mul(a, b):
+        count.append(1)
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(mpf, "__mul__", counted_mul)
+    grad = eval_partials(e, point, CTX)
+    monkeypatch.undo()
+    assert len(count) == products
+    jet = eval_jet(e, point, 1, CTX)
+    assert {i: g._mpf_ for i, g in grad.items()} == {
+        i: jet.coeffs[tuple(int(j == i) for j in range(2))]._mpf_ for i in grad
+    }
+
+
 def _const_jet(text):
     return jet_constant(CTX, CTX.const(text), 2, 4)
 

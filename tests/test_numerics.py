@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from invseries.errors import (
     MalformedDecimalError,
@@ -22,7 +23,14 @@ from invseries.numerics import (
     scalar_from_decimal,
 )
 
-from helpers import counting_context, identity, mat_mul, max_abs_diff, reference_lu_invert
+from helpers import (
+    counting_context,
+    identity,
+    mat_mul,
+    max_abs_diff,
+    reference_format_scalar,
+    reference_lu_invert,
+)
 
 CTX = Context(60)
 
@@ -135,6 +143,95 @@ def test_format_strip_zeros_and_zero():
     assert format_scalar(ctx.mp.mpf("2.125"), 50, strip_zeros=True) == "2.125e0"
     assert format_scalar(ctx.zero, 10) == "0"
     assert format_scalar(-ctx.mp.mpf("1.875"), 10) == "-1.875000000e0"
+
+
+FORMAT_CONTEXTS = {p: Context(p) for p in (16, 60, 300, 1000, 1100)}
+
+
+@st.composite
+def format_values(draw):
+    """A float of one of FORMAT_CONTEXTS: a random mantissa and exponent, an
+    exact power of 2 or of 10, or the float half an ulp below 10^j."""
+    ctx = FORMAT_CONTEXTS[draw(st.sampled_from(sorted(FORMAT_CONTEXTS)))]
+    kind = draw(st.sampled_from(["random", "pow2", "pow10", "below-pow10"]))
+    if kind == "random":
+        man = draw(st.integers(1, 2 ** ctx.mp.prec - 1))
+        raw = from_man_exp(man, draw(st.integers(-4000, 4000)), ctx.mp.prec)
+    elif kind == "pow2":
+        raw = from_man_exp(1, draw(st.integers(-3000, 3000)))
+    else:
+        j = draw(st.integers(-1000, 1000))
+        _, man, exp, _ = ctx.pow10(j)._mpf_
+        raw = from_man_exp(man, exp) if kind == "pow10" else from_man_exp(2 * man - 1, exp - 1)
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * ctx.mp.make_mpf(raw)
+
+
+@given(
+    x=format_values(),
+    sig_digits=st.integers(1, 1100),
+    strip_zeros=st.booleans(),
+)
+@settings(max_examples=150)
+def test_format_matches_the_fraction_reference(x, sig_digits, strip_zeros):
+    """The integer rendering is the exact rational one, string for string."""
+    assert format_scalar(x, sig_digits, strip_zeros) == reference_format_scalar(
+        x, sig_digits, strip_zeros
+    )
+
+
+def test_format_refuses_a_non_finite_value():
+    for bad in (CTX.mp.inf, -CTX.mp.inf, CTX.mp.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_scalar(bad, 10)
+
+
+PARSE_CONTEXTS = {p: Context(p) for p in (16, 60, 300, 1030)}
+
+
+@given(
+    precision=st.sampled_from(sorted(PARSE_CONTEXTS)),
+    sign=st.sampled_from(["", "-", "+"]),
+    whole=st.text("0123456789", max_size=600),
+    frac=st.one_of(st.none(), st.text("0123456789", max_size=500)),
+    exponent=st.one_of(st.none(), st.integers(-1500, 1500)),
+    marker=st.sampled_from(["e", "E"]),
+)
+@example(precision=300, sign="", whole="1", frac=None, exponent=400, marker="e")
+@example(precision=300, sign="", whole="1", frac=None, exponent=401, marker="e")
+@example(precision=300, sign="-", whole="3", frac="", exponent=-400, marker="e")
+@example(precision=300, sign="", whole="3", frac="70", exponent=-400, marker="e")
+@example(precision=300, sign="", whole="", frac="25", exponent=-399, marker="E")
+def test_parse_has_mpmath_bits(precision, sign, whole, frac, exponent, marker):
+    """Every literal mpmath reads parses to ``ctx.mp.mpf(text)``'s bits, on
+    both sides of mpmath's ±400 exponent branch."""
+    if not (whole + (frac or "")).strip("0"):
+        whole = "7"  # mpmath cannot read a literal with no digit left of zeros
+    text = sign + whole + ("" if frac is None else "." + frac)
+    if exponent is not None:
+        text += f"{marker}{exponent:+d}" if exponent % 2 else f"{marker}{exponent}"
+    ctx = PARSE_CONTEXTS[precision]
+    assert scalar_from_decimal(text, ctx)._mpf_ == ctx.mp.mpf(text)._mpf_
+
+
+@pytest.mark.parametrize("text", [".0", "-.000e5", "0.", "+.0e-7", "-0"])
+def test_parse_reads_a_zero_with_no_integer_digits(text):
+    # mpmath's own parser fails on these with int('')
+    assert scalar_from_decimal(text, CTX)._mpf_ == CTX.zero._mpf_
+
+
+def test_parse_reads_a_literal_beyond_the_int_digit_limit():
+    ctx = Context(5000)
+    text = "0." + "3" * 5000
+    third = ctx.one / 3
+    assert abs(scalar_from_decimal(text, ctx) - third) <= ctx.pow10(-5000)
+    assert scalar_from_decimal(text + "e+0", ctx) == scalar_from_decimal(text, ctx)
+
+
+def test_const_goes_through_the_decimal_parser():
+    ctx = Context(60)
+    assert ctx.const(".0") == 0
+    assert ctx.const("1e-450")._mpf_ == scalar_from_decimal("1e-450", ctx)._mpf_
 
 
 def test_lu_invert_identity(ctx1000):

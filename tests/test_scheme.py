@@ -498,7 +498,19 @@ LITERAL_OPERANDS = (
 )
 
 
+# powers in affine positions, whose last product the Jacobian does not
+# value, and under a product, where it does
+POWERS = (
+    "vars: x1 x2 x3\n"
+    "eq: 70*x1 + x1^3 + x2^2 - 2*x3^5 + x1^4 - 1\n"
+    "eq: 70*x2 - (x1 - x2)^7 + x3^2*x1 + -x2^6\n"
+    "eq: 70*x3 + (x1^3 + x2)^2 - x3^2/3\n"
+    "start: 0.7 1.3 0.5\n"
+)
+
+
 @given(case=jacobian_cases())
+@example(case=(problem_from(POWERS, CTX), pt(CTX, "0.7", "-1.3", "0.5")))
 @example(case=(problem_from(EVERY_NODE_KIND, CTX), pt(CTX, "0.5", 1, "1.5")))
 @example(case=(problem_from(QUOTIENT_FACTORS, CTX), pt(CTX, "0.9", "1.3")))
 @example(case=(problem_from(LITERAL_OPERANDS, CTX), pt(CTX, "0.7", "1.3", "0.5")))

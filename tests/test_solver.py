@@ -8,7 +8,7 @@ from invseries import solver
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.errors import IterationError
-from invseries.numerics import Context, MPVector, format_scalar, norm_inf
+from invseries.numerics import Context, MPVector, format_scalar, norm_inf, scalar_from_decimal
 from invseries.scheme import evaluate_system
 from invseries.solver import SolveConfig, Status, solve
 
@@ -24,6 +24,18 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SolveConfig(order=2, tol=bad)
     SolveConfig(order=2, tol="1e-900")  # below the smallest float, still positive
+
+
+def test_text_tol_goes_through_the_decimal_parser():
+    ctx = Context(60)
+    for text in (".5e-3", "1e-450", "0.0" + "7" * 5000):
+        config = SolveConfig(order=2, precision=60, tol=text)
+        assert solver.resolve_tol(config, ctx)._mpf_ == scalar_from_decimal(text, ctx)._mpf_
+    config = SolveConfig(order=2, precision=60, tol=0.1)  # a float keeps its binary value
+    assert solver.resolve_tol(config, ctx) == ctx.mp.mpf(0.1)
+    for bad in (".0", "-.0", "1/2"):
+        with pytest.raises(ValueError, match=f"finite positive number, got {bad}"):
+            SolveConfig(order=2, tol=bad)
 
 
 @pytest.mark.parametrize(
