@@ -17,7 +17,7 @@ import json
 import statistics
 from dataclasses import dataclass
 
-from .errors import InsufficientDataError
+from .errors import NESTS_TOO_DEEPLY, InsufficientDataError, InvseriesError
 from .expr import eval_jet
 from .numerics import MPVector, format_scalar, norm_inf
 from .scheme import build_terms, check_order, evaluate_system
@@ -32,16 +32,10 @@ class OrderEstimate:
     summary: float
     window: tuple  # anchor iteration indices
 
-    def __repr__(self):
-        return (
-            f"OrderEstimate(method={self.method!r}, summary={self.summary:.3f}, "
-            f"n={len(self.estimates)})"
-        )
-
 
 def estimator_window(ctx):
     """(lower, upper) magnitude bounds of the usable window; empty at low precision."""
-    return ctx.pow10(-ctx.precision + 100), ctx.mp.mpf("1e-2")
+    return ctx.pow10(-ctx.precision + 100), ctx.pow10(-2)
 
 
 def _log_ratio(ctx, a, b) -> float:
@@ -59,9 +53,13 @@ def nearest_root(problem, x: MPVector) -> MPVector:
 
 
 def check_root(problem, root: MPVector) -> None:
-    """Refuse a root whose residual does not sit below the estimator window."""
+    """Refuse a root whose residual does not sit below the estimator window;
+    an expression too deep to evaluate raises ``InvseriesError``."""
     lower, _ = estimator_window(problem.context)
-    root_residual = norm_inf(evaluate_system(problem, root))
+    try:
+        root_residual = norm_inf(evaluate_system(problem, root))
+    except RecursionError:
+        raise InvseriesError(NESTS_TOO_DEEPLY) from None
     if not root_residual < lower:
         raise ValueError(
             f"supplied root has residual {format_scalar(root_residual, 5)}; "

@@ -151,7 +151,7 @@ def _order_row(problem, order: int, trace) -> tuple[list, bool]:
         ok = all(abs(s - order) <= ORDER_CHECK_SLACK for s in summaries)
         return cells + ["ok" if ok else "FAIL"], ok
     ok = trace.status is Status.CONVERGED
-    reason = "converged too fast to measure" if ok else trace.status.value
+    reason = "too few steps in the window" if ok else trace.status.value
     return cells + [f"no-data ({reason})"], ok
 
 
@@ -198,9 +198,6 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (InvseriesError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: an expression nests too deeply to evaluate", file=sys.stderr)
         return 1
 
 

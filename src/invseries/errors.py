@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# the message of an evaluation that exceeds Python's recursion limit
+NESTS_TOO_DEEPLY = "an expression nests too deeply to evaluate"
+
 
 class InvseriesError(Exception):
     """Base class for every error raised by this library."""
@@ -52,8 +55,11 @@ class InsufficientDataError(InvseriesError):
 
 
 class IterationError(InvseriesError):
-    """Evaluation failed while building an update; carries the iterate index."""
+    """Evaluation failed while building an update; carries the iterate index.
+    A ``RecursionError`` fault reads as ``NESTS_TOO_DEEPLY``."""
 
-    def __init__(self, iteration, message):
+    def __init__(self, iteration, fault):
         self.iteration = iteration
-        super().__init__(f"iteration {iteration}: {message}")
+        if isinstance(fault, RecursionError):
+            fault = NESTS_TOO_DEEPLY
+        super().__init__(f"iteration {iteration}: {fault}")

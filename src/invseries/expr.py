@@ -134,6 +134,10 @@ def _tokenize(text: str, line: int):
     return tokens
 
 
+# binary operators by precedence, loosest first
+_BINARY_OPS = ("+-", "*/")
+
+
 class _ExprParser:
     def __init__(self, tokens, var_indices, line):
         self.tokens = tokens
@@ -155,31 +159,24 @@ class _ExprParser:
             raise ParseError(f"expected {op!r}, found {text!r}", self.line)
 
     def parse(self) -> Expr:
-        e = self.parse_sum()
+        e = self.parse_binary()
         kind, text = self.peek()
         if kind is not None:
             raise ParseError(f"trailing input starting at {text!r}", self.line)
         return e
 
-    def parse_sum(self) -> Expr:
-        e = self.parse_term()
+    def parse_binary(self, level: int = 0) -> Expr:
+        """A left-associative chain of ``_BINARY_OPS[level]`` over the
+        tighter levels' chains, the last level's over unary operands."""
+        tighter = level + 1 < len(_BINARY_OPS)
+        e = self.parse_binary(level + 1) if tighter else self.parse_unary()
         while True:
             kind, text = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                e = BinOp(text, e, self.parse_term())
-            else:
+            if kind != "op" or text not in _BINARY_OPS[level]:
                 return e
-
-    def parse_term(self) -> Expr:
-        e = self.parse_unary()
-        while True:
-            kind, text = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                e = BinOp(text, e, self.parse_unary())
-            else:
-                return e
+            self.advance()
+            right = self.parse_binary(level + 1) if tighter else self.parse_unary()
+            e = BinOp(text, e, right)
 
     def parse_unary(self) -> Expr:
         kind, text = self.peek()
@@ -218,14 +215,14 @@ class _ExprParser:
                 if text not in RESERVED_FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", self.line)
                 self.advance()
-                arg = self.parse_sum()
+                arg = self.parse_binary()
                 self.expect_op(")")
                 return Call(text, arg)
             if text not in self.var_indices:
                 raise UnknownVariableError(f"unknown variable {text!r}", self.line)
             return Var(self.var_indices[text], text)
         if kind == "op" and text == "(":
-            e = self.parse_sum()
+            e = self.parse_binary()
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {text!r}", self.line)

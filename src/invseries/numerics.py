@@ -13,7 +13,8 @@ import math
 import re
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import ften, from_int, from_rational, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import ften, from_int, from_rational, mpf_mul, mpf_pow_int, to_int
+from mpmath.libmp import round_ceiling, round_floor, round_nearest
 
 from .errors import MalformedDecimalError, ShapeMismatchError, SingularMatrixError
 
@@ -36,6 +37,19 @@ _MP_CONTEXTS: dict[int, MPContext] = {}
 ELEMENTARY_MEMO_SIZE = 1024
 
 
+def is_int(value) -> bool:
+    """An int, not a bool: what a precision, an order and an iteration cap are."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_precision(precision) -> None:
+    """Refuse a precision that is not an int (``is_int``) of at least 16 digits."""
+    if not is_int(precision):
+        raise ValueError(f"precision must be an int, got {precision!r}")
+    if precision < 16:
+        raise ValueError(f"precision must be >= 16 decimal digits, got {precision}")
+
+
 class Context:
     """Working precision (decimal digits) plus its mpmath context.
 
@@ -52,9 +66,7 @@ class Context:
     """
 
     def __init__(self, precision: int = DEFAULT_PRECISION):
-        precision = int(precision)
-        if precision < 16:
-            raise ValueError(f"precision must be >= 16 decimal digits, got {precision}")
+        check_precision(precision)
         self.precision = precision
         mp = _MP_CONTEXTS.get(precision)
         if mp is None:
@@ -173,9 +185,6 @@ class MPVector:
     def dim(self) -> int:
         return len(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def __getitem__(self, i):
         return self.entries[i]
 
@@ -183,12 +192,9 @@ class MPVector:
         return iter(self.entries)
 
     def sub(self, other: "MPVector") -> "MPVector":
-        self._check(other)
-        return MPVector(a - b for a, b in zip(self.entries, other.entries))
-
-    def _check(self, other):
         if self.dim != other.dim:
             raise ShapeMismatchError(f"dim mismatch: {self.dim} vs {other.dim}")
+        return MPVector(a - b for a, b in zip(self.entries, other.entries))
 
     def __repr__(self):
         return f"MPVector(dim={self.dim})"
@@ -218,13 +224,6 @@ class MPMatrix:
     def at(self, r: int, c: int):
         return self.entries[r][c]
 
-    def row(self, r: int):
-        return self.entries[r]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __repr__(self):
         return f"MPMatrix({self.rows}x{self.cols})"
 
@@ -237,7 +236,7 @@ def _lu_factor(m: MPMatrix, ctx: Context):
     that floor, so scaling an equation moves its floor with it.
     """
     n = m.rows
-    lu = [list(m.row(i)) for i in range(n)]
+    lu = [list(row) for row in m.entries]
     perm = list(range(n))
     floors = [ctx.tiny * max(abs(e) for e in row) for row in lu]
     for col in range(n):
@@ -276,7 +275,7 @@ def lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     order of a plain forward and back substitution, so each entry keeps
     that solve's bits.
     """
-    if not m.is_square:
+    if m.rows != m.cols:
         raise ShapeMismatchError("lu_invert needs a square matrix")
     n = m.rows
     lu, perm = _lu_factor(m, ctx)
@@ -300,15 +299,35 @@ def lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     return MPMatrix(zip(*cols))
 
 
+def _scaled_floor(man: int, exp: int, bc: int, k: int, w: int) -> int:
+    """floor(man·2^exp·10^k) for man > 0 of ``bc`` bits.
+
+    Beyond |exp| = 8·``w`` the exact integers dwarf the mantissa, so the
+    product is bounded at ``w`` bits rounded down and up (``mpf_pow_int``
+    keeps the direction, for k < 0 too), and q is their floor if they share
+    it.  Else q is exact: a power of ten, a shift and, if k < 0, a division.
+    """
+    if abs(exp) > 8 * w:
+        x = (0, man, exp, bc)
+        floors = {
+            to_int(mpf_mul(x, mpf_pow_int(ften, k, w, rnd), w, rnd), round_floor)
+            for rnd in (round_floor, round_ceiling)
+        }
+        if len(floors) == 1:
+            return floors.pop()
+    q = man * 10**k if k > 0 else man
+    q = q << exp if exp >= 0 else q >> -exp
+    return q // 10**-k if k < 0 else q
+
+
 def format_scalar(x, sig_digits: int, strip_zeros: bool = False) -> str:
     """Render ``<mantissa>e<exp>`` with the mantissa truncated toward zero.
 
     Truncation (not rounding) is exact: with |x| = man·2^exp and the
     decimal exponent e10 of |x|, the digits are the integer
-    q = floor(man·10^k·2^exp), k = sig_digits − 1 − e10, formed by one
-    power of ten, one shift and, when k < 0, one floor division.  e10
-    starts from the bit length and is right once 10^(sig_digits−1) <= q <
-    10^sig_digits.  So the output is deterministic and byte-identical
+    q = floor(man·10^k·2^exp), k = sig_digits − 1 − e10 (``_scaled_floor``).
+    e10 starts from the bit length and is right once 10^(sig_digits−1) <=
+    q < 10^sig_digits.  So the output is deterministic and byte-identical
     across runs, and q of any length is written out through ``decimal``.
     """
     if sig_digits < 1:
@@ -320,13 +339,11 @@ def format_scalar(x, sig_digits: int, strip_zeros: bool = False) -> str:
         raise ValueError(f"cannot format a non-finite value: {x}")
     man = int(man)
     low = 10 ** (sig_digits - 1)
+    # bounds this wide leave q's ~3.3·sig_digits bits far inside them
+    w = bc + 4 * sig_digits + 64
     e10 = math.floor((exp + bc - 1) * math.log10(2))
     while True:
-        k = sig_digits - 1 - e10
-        q = man * 10**k if k > 0 else man
-        q = q << exp if exp >= 0 else q >> -exp
-        if k < 0:
-            q //= 10**-k
+        q = _scaled_floor(man, exp, bc, sig_digits - 1 - e10, w)
         if q >= low:
             break
         e10 -= 1  # float rounding put the estimate above log10|x|

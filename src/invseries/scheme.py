@@ -28,7 +28,7 @@ from .expr import (
     eval_scalar,
     eval_top,
 )
-from .numerics import MPMatrix, MPVector, lu_invert
+from .numerics import MPMatrix, MPVector, is_int, lu_invert
 from .taylor import (
     TaylorPoly,
     jet_add,
@@ -43,8 +43,8 @@ MAX_ORDER = 8
 
 
 def check_order(order: int) -> None:
-    """Refuse a convergence order k that is not an int in 2..``MAX_ORDER``."""
-    if not isinstance(order, int):
+    """Refuse an order k that is not an int (``is_int``) in 2..``MAX_ORDER``."""
+    if not is_int(order):
         raise ValueError(f"order must be an int, got {order!r}")
     if order < 2:
         raise ValueError(f"order must be at least 2, got {order}")

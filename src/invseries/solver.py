@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import mpmath
-
 from .errors import DomainError, IterationError, MalformedDecimalError, SingularMatrixError
 from .expr import Problem
 from .numerics import (
     DEFAULT_PRECISION,
     MPVector,
+    check_precision,
     decimal_mpf,
+    is_int,
     norm_inf,
     scalar_from_decimal,
 )
@@ -43,10 +43,11 @@ class Status(Enum):
 class SolveConfig:
     """Loop controls for one solve.
 
-    ``order`` must be an int in 2..``MAX_ORDER`` and ``max_iters`` an int
-    >= 1.  ``tol``, a finite positive number (text is a decimal literal,
-    parsed by ``scalar_from_decimal``, so "1e-900" stays positive), stops
-    the iteration once the step max-norm falls to or below it; None selects
+    ``order`` must be an int in 2..``MAX_ORDER``, ``precision`` one that
+    ``Context`` accepts and ``max_iters`` an int >= 1 (``is_int``: a bool
+    is none of them).  ``tol``, positive decimal text parsed by
+    ``scalar_from_decimal`` (so "1e-900" stays positive), stops the
+    iteration once the step max-norm falls to or below it; None selects
     10^-(precision - min(50, precision // 2)), so the default never exceeds
     10^-(precision // 2).  Divergence is declared once ``DIVERGENCE_WINDOW``
     consecutive step-norm increases end above the first step (``diverged``).
@@ -55,19 +56,20 @@ class SolveConfig:
     order: int
     precision: int = DEFAULT_PRECISION
     max_iters: int = 30
-    tol: Optional[str | float] = None
+    tol: Optional[str] = None
 
     def __post_init__(self):
         check_order(self.order)
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+        check_precision(self.precision)
+        if not is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
-        if self.tol is not None and not _finite_positive(self.tol):
+        if self.tol is not None and not isinstance(self.tol, str):
+            raise ValueError(f"tol must be decimal text, got {self.tol!r}")
+        if self.tol is not None and not _positive_decimal(self.tol):
             raise ValueError(f"tol must be a finite positive number, got {self.tol}")
 
 
-def _finite_positive(tol) -> bool:
-    if not isinstance(tol, str):
-        return 0 < mpmath.mpf(tol) < mpmath.inf
+def _positive_decimal(tol: str) -> bool:
     try:
         # a decimal is finite, and its sign and zeroness hold at any precision
         sign, man, _, _ = decimal_mpf(tol, 53)
@@ -114,9 +116,7 @@ def resolve_tol(config: SolveConfig, ctx):
     if config.tol is None:
         guard = min(50, config.precision // 2)
         return ctx.pow10(-(config.precision - guard))
-    if isinstance(config.tol, str):
-        return scalar_from_decimal(config.tol, ctx)
-    return ctx.mp.mpf(config.tol)
+    return scalar_from_decimal(config.tol, ctx)
 
 
 def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
@@ -126,7 +126,9 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     norm, and (when roots are configured) the max-norm distance to the
     nearest known root.  A step ends the run as converged when its norm is
     at or below the tolerance, else as diverged when ``diverged`` holds for
-    the step norms of the rows so far.
+    the step norms of the rows so far.  An evaluation fault (a domain
+    error, a division by zero, an expression too deep to evaluate) raises
+    ``IterationError`` at its iteration.
     """
     ctx = problem.context
     if ctx.precision != config.precision:
@@ -139,8 +141,8 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     x = problem.start
     try:
         f_x = evaluate_system(problem, x)
-    except (DomainError, ZeroDivisionError) as exc:
-        raise IterationError(0, str(exc)) from exc
+    except (DomainError, ZeroDivisionError, RecursionError) as exc:
+        raise IterationError(0, exc) from exc
     rows = [TraceRow(0, x, None, None, norm_inf(f_x), _error_vs_root(problem, x))]
     status = Status.MAX_ITERS
 
@@ -152,8 +154,8 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
         except SingularMatrixError:
             status = Status.SINGULAR_JACOBIAN
             break
-        except (DomainError, ZeroDivisionError) as exc:
-            raise IterationError(it, str(exc)) from exc
+        except (DomainError, ZeroDivisionError, RecursionError) as exc:
+            raise IterationError(it, exc) from exc
         step = new_x.sub(x)
         snorm = norm_inf(step)
         error = _error_vs_root(problem, new_x)

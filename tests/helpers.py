@@ -76,7 +76,7 @@ def reference_lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     and each unit vector solved forward and back in full, from row 0.
     """
     n = m.rows
-    lu = [list(m.row(i)) for i in range(n)]
+    lu = [list(row) for row in m.entries]
     perm = list(range(n))
     floors = [ctx.tiny * max(abs(e) for e in row) for row in lu]
     for col in range(n):

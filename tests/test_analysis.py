@@ -6,13 +6,14 @@ import pytest
 
 from invseries.analysis import (
     _log_ratio,
+    check_root,
     error_constant_check,
     estimate_order_known_root,
     estimate_order_successive,
     markdown_table,
     render_table,
 )
-from invseries.errors import InsufficientDataError
+from invseries.errors import InsufficientDataError, InvseriesError
 from invseries.expr import parse_problem
 from invseries.numerics import MPVector, norm_inf
 from invseries.scheme import evaluate_system
@@ -78,6 +79,13 @@ def test_known_root_rejects_inaccurate_root(scalar_problem, ctx1000):
     not_root = MPVector([ctx1000.mp.mpf("1.001")])
     with pytest.raises(ValueError):
         estimate_order_known_root(fake_trace(scalar_problem, xs), not_root)
+
+
+def test_check_root_maps_too_deep_an_expression(ctx200):
+    text = "vars: x\neq: " + " + ".join(["x"] * 1200) + " - 1200\nstart: 2\nroot: 1\n"
+    p = parse_problem(text, ctx200)
+    with pytest.raises(InvseriesError, match="an expression nests too deeply to evaluate"):
+        check_root(p, p.known_roots[0])
 
 
 def test_known_root_on_reference_traces(two_var, ctx1000):

@@ -126,7 +126,7 @@ def test_solve_rejects_an_infinite_tol(capsys):
     [
         (
             " + ".join(["0.001*x^2"] * 1000) + " - 1",
-            "error: an expression nests too deeply to evaluate\n",
+            "error: iteration 0: an expression nests too deeply to evaluate\n",
         ),
         ("(" * 250 + "x^2 - 2" + ")" * 250, "error: line 2: expression nests too deeply\n"),
     ],
@@ -325,7 +325,7 @@ def test_order_check_affine_insufficient_data(capsys):
     )
     assert code == 0
     assert "insufficient-data" in out
-    assert "| no-data (converged too fast to measure) |" in out
+    assert "| no-data (too few steps in the window) |" in out
 
 
 @pytest.mark.parametrize(
@@ -368,7 +368,7 @@ def test_order_check_rejects_an_inexact_root_before_output(capsys, tmp_path):
         (
             " + ".join(["0.001*x^2"] * 1000) + " - 1",
             "1",
-            "error: an expression nests too deeply to evaluate\n",
+            "error: iteration 0: an expression nests too deeply to evaluate\n",
         ),
     ],
     ids=["domain-error", "too-deep"],
@@ -428,6 +428,20 @@ def test_order_check_accepts_the_first_nonempty_window(capsys):
     assert err == ""
     assert out.startswith("| order |")
     assert "| 2 |" in out
+
+
+def test_order_check_names_the_window_that_the_steps_jumped(capsys):
+    # at 103 digits the window (1e-3, 1e-2) is one decade wide: order 2 takes
+    # 9 steps, but they go 3.4e-2 -> 5.6e-4 over it
+    code, out, err = run(
+        capsys, "order-check", "--builtin", "incas-2var", "--precision", "103",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == [
+        f"| {k} | insufficient-data | insufficient-data "
+        "| no-data (too few steps in the window) |"
+        for k in (2, 3, 4, 5)
+    ]
 
 
 def test_byte_identical_reruns(capsys):

@@ -2,7 +2,8 @@
 function, class, method or property is used by the package or
 documented, and every private top-level function or class is read.
 
-The package root re-exports names, so it is left out.
+The package root is checked too: it binds only ``__version__``, so a
+re-export that creeps back in fails as an unused import.
 """
 
 import ast
@@ -14,11 +15,7 @@ import pytest
 import invseries
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-MODULES = sorted(
-    path
-    for path in Path(invseries.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+MODULES = sorted(Path(invseries.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

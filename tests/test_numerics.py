@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
+import invseries
 from invseries.errors import (
     MalformedDecimalError,
     ShapeMismatchError,
@@ -102,6 +106,12 @@ def test_precision_floor():
     Context(16)
 
 
+@pytest.mark.parametrize("precision", [100.9, 100.0, "300", True], ids=repr)
+def test_context_refuses_a_precision_that_is_not_an_int(precision):
+    with pytest.raises(ValueError, match=re.escape(f"precision must be an int, got {precision!r}")):
+        Context(precision)
+
+
 @given(
     sign=st.sampled_from(["", "-"]),
     digits=st.text("0123456789", min_size=1, max_size=55),
@@ -151,16 +161,20 @@ FORMAT_CONTEXTS = {p: Context(p) for p in (16, 60, 300, 1000, 1100)}
 @st.composite
 def format_values(draw):
     """A float of one of FORMAT_CONTEXTS: a random mantissa and exponent, an
-    exact power of 2 or of 10, or the float half an ulp below 10^j."""
+    exact power of 2 or of 10, or the float half an ulp below 10^j.  Half
+    the random and power-of-10 draws reach binary exponents beyond
+    ``format_scalar``'s switch to bounds, 8·(bits + 4·sig_digits + 64)."""
     ctx = FORMAT_CONTEXTS[draw(st.sampled_from(sorted(FORMAT_CONTEXTS)))]
     kind = draw(st.sampled_from(["random", "pow2", "pow10", "below-pow10"]))
+    far = draw(st.booleans())
     if kind == "random":
         man = draw(st.integers(1, 2 ** ctx.mp.prec - 1))
-        raw = from_man_exp(man, draw(st.integers(-4000, 4000)), ctx.mp.prec)
+        exp = draw(st.integers(-200_000, 200_000) if far else st.integers(-4000, 4000))
+        raw = from_man_exp(man, exp, ctx.mp.prec)
     elif kind == "pow2":
         raw = from_man_exp(1, draw(st.integers(-3000, 3000)))
     else:
-        j = draw(st.integers(-1000, 1000))
+        j = draw(st.integers(-60_000, 60_000) if far else st.integers(-1000, 1000))
         _, man, exp, _ = ctx.pow10(j)._mpf_
         raw = from_man_exp(man, exp) if kind == "pow10" else from_man_exp(2 * man - 1, exp - 1)
     sign = draw(st.sampled_from([1, -1]))
@@ -178,6 +192,23 @@ def test_format_matches_the_fraction_reference(x, sig_digits, strip_zeros):
     assert format_scalar(x, sig_digits, strip_zeros) == reference_format_scalar(
         x, sig_digits, strip_zeros
     )
+
+
+def test_format_renders_a_huge_exponent_quickly():
+    # the exact integers of 1e±100000000 have about 3.3e8 bits: rendering them
+    # took minutes, bounding the digits takes well under a millisecond
+    code = (
+        "from invseries.numerics import Context, format_scalar, scalar_from_decimal\n"
+        "ctx = Context(50)\n"
+        "for text in ('1e100000000', '1e-100000000'):\n"
+        "    print(format_scalar(scalar_from_decimal(text, ctx), 10))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(invseries.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    # both literals parse to a float just below 10^±100000000
+    assert done.stdout.split() == ["9.999999999e99999999", "9.999999999e-100000001"]
 
 
 def test_format_refuses_a_non_finite_value():

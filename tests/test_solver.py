@@ -31,8 +31,9 @@ def test_text_tol_goes_through_the_decimal_parser():
     for text in (".5e-3", "1e-450", "0.0" + "7" * 5000):
         config = SolveConfig(order=2, precision=60, tol=text)
         assert solver.resolve_tol(config, ctx)._mpf_ == scalar_from_decimal(text, ctx)._mpf_
-    config = SolveConfig(order=2, precision=60, tol=0.1)  # a float keeps its binary value
-    assert solver.resolve_tol(config, ctx) == ctx.mp.mpf(0.1)
+    for number in (0.1, 1, ctx.mp.mpf("0.1")):  # a number is refused, not converted
+        with pytest.raises(ValueError, match="tol must be decimal text, got "):
+            SolveConfig(order=2, precision=60, tol=number)
     for bad in (".0", "-.0", "1/2"):
         with pytest.raises(ValueError, match=f"finite positive number, got {bad}"):
             SolveConfig(order=2, tol=bad)
@@ -44,8 +45,16 @@ def test_text_tol_goes_through_the_decimal_parser():
         ({"order": 3.5}, "order must be an int, got 3.5"),
         ({"order": 3.0}, "order must be an int, got 3.0"),
         ({"order": 3, "max_iters": 2.5}, "max_iters must be an int >= 1, got 2.5"),
+        ({"order": True}, "order must be an int, got True"),
+        ({"order": 2, "max_iters": True}, "max_iters must be an int >= 1, got True"),
+        ({"order": 2, "precision": 100.5}, "precision must be an int, got 100.5"),
+        ({"order": 2, "precision": "300"}, "precision must be an int, got '300'"),
+        ({"order": 2, "precision": 15}, "precision must be >= 16 decimal digits, got 15"),
     ],
-    ids=["order-3.5", "order-3.0", "max-iters-2.5"],
+    ids=[
+        "order-3.5", "order-3.0", "max-iters-2.5", "order-True", "max-iters-True",
+        "precision-100.5", "precision-text", "precision-15",
+    ],
 )
 def test_config_refuses_a_non_integer_count(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -157,6 +166,15 @@ def test_zero_denominator_at_the_start_is_an_iteration_error(ctx1000):
     with pytest.raises(IterationError) as info:
         solve(p, SolveConfig(order=2, precision=1000))
     assert info.value.iteration == 0
+
+
+def test_too_deep_an_expression_is_an_iteration_error():
+    ctx = Context(30)
+    p = parse_problem("vars: x\neq: " + " + ".join(["x"] * 1200) + " - 1\nstart: 1\n", ctx)
+    with pytest.raises(IterationError) as info:
+        solve(p, SolveConfig(order=2, precision=30))
+    assert info.value.iteration == 0
+    assert str(info.value) == "iteration 0: an expression nests too deeply to evaluate"
 
 
 @given(
