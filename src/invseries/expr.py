@@ -110,132 +110,112 @@ class Problem:
         return len(self.var_names)
 
 
-# --- tokenizer ---------------------------------------------------------------
+# --- tokenizer and parser ----------------------------------------------------
 
+# one match per token: a number, a name, an operator, or a character that
+# starts no token (named by the "unexpected character" error)
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_]\w*)|([-+*/^()])|(\S)"
 )
 
+# the token after the last one
+_END = ("", "", "", "")
 
-def _tokenize(text: str, line: int):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", line)
-            break
-        pos = m.end()
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
-    return tokens
+# binding power of the binary operators; any other token ends a chain
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-# binary operators by precedence, loosest first
-_BINARY_OPS = ("+-", "*/")
+def _found(token) -> str:
+    return "end of expression" if token is _END else repr("".join(token))
 
 
 class _ExprParser:
+    """Precedence climbing over ``_TOKEN_RE`` tokens that end in ``_END``."""
+
     def __init__(self, tokens, var_indices, line):
         self.tokens = tokens
         self.var_indices = var_indices
         self.line = line
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, text = self.advance()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}, found {text!r}", self.line)
-
-    def parse(self) -> Expr:
-        e = self.parse_binary()
-        kind, text = self.peek()
-        if kind is not None:
-            raise ParseError(f"trailing input starting at {text!r}", self.line)
-        return e
-
-    def parse_binary(self, level: int = 0) -> Expr:
-        """A left-associative chain of ``_BINARY_OPS[level]`` over the
-        tighter levels' chains, the last level's over unary operands."""
-        tighter = level + 1 < len(_BINARY_OPS)
-        e = self.parse_binary(level + 1) if tighter else self.parse_unary()
+    def binary(self, level: int = 1) -> Expr:
+        """A left-associative chain of the operators that bind at ``level`` or tighter."""
+        e = self.unary()
         while True:
-            kind, text = self.peek()
-            if kind != "op" or text not in _BINARY_OPS[level]:
+            op = self.tokens[self.pos][2]
+            binding = _PRECEDENCE.get(op, 0)
+            if binding < level:
                 return e
-            self.advance()
-            right = self.parse_binary(level + 1) if tighter else self.parse_unary()
-            e = BinOp(text, e, right)
+            self.pos += 1
+            e = BinOp(op, e, self.binary(binding + 1))
 
-    def parse_unary(self) -> Expr:
-        kind, text = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        if kind == "op" and text == "+":
-            self.advance()
-            return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        kind, text = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            ekind, etext = self.advance()
-            if ekind != "num" or not re.fullmatch(r"\d+", etext):
-                raise ParseError(
-                    f"exponent must be a non-negative integer literal, found {etext!r}",
-                    self.line,
-                )
-            nkind, ntext = self.peek()
-            if nkind == "op" and ntext == "^":
-                raise ParseError("chained '^' needs parentheses", self.line)
-            return Power(base, int(etext))
-        return base
-
-    def parse_atom(self) -> Expr:
-        kind, text = self.advance()
-        if kind == "num":
-            return Const(text)
-        if kind == "name":
-            nkind, ntext = self.peek()
-            if nkind == "op" and ntext == "(":
-                if text not in RESERVED_FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", self.line)
-                self.advance()
-                arg = self.parse_binary()
-                self.expect_op(")")
-                return Call(text, arg)
-            if text not in self.var_indices:
-                raise UnknownVariableError(f"unknown variable {text!r}", self.line)
-            return Var(self.var_indices[text], text)
-        if kind == "op" and text == "(":
-            e = self.parse_binary()
-            self.expect_op(")")
+    def unary(self) -> Expr:
+        """Signs, then an atom, then an optional ``^`` and its exponent."""
+        token = self.tokens[self.pos]
+        self.pos += 1
+        num, name, op, _ = token
+        if num:
+            e = Const(num)
+        elif name:
+            if self.tokens[self.pos][2] == "(":
+                if name not in RESERVED_FUNCTIONS:
+                    raise ParseError(f"unknown function {name!r}", self.line)
+                self.pos += 1
+                e = Call(name, self.closed())
+            elif name in self.var_indices:
+                e = Var(self.var_indices[name], name)
+            elif name in RESERVED_FUNCTIONS:
+                raise ParseError(f"{name!r} is a function and needs parentheses", self.line)
+            else:
+                raise UnknownVariableError(f"unknown variable {name!r}", self.line)
+        elif op == "(":
+            e = self.closed()
+        elif op == "-":
+            return Neg(self.unary())
+        elif op == "+":
+            return self.unary()
+        else:
+            what = "end of expression" if token is _END else f"token {op!r}"
+            raise ParseError(f"unexpected {what}", self.line)
+        if self.tokens[self.pos][2] != "^":
             return e
-        raise ParseError(f"unexpected token {text!r}", self.line)
+        exponent = self.tokens[self.pos + 1]
+        self.pos += 2
+        if not exponent[0].isdigit():
+            raise ParseError(
+                f"exponent must be a non-negative integer literal, found {_found(exponent)}",
+                self.line,
+            )
+        if self.tokens[self.pos][2] == "^":
+            raise ParseError("chained '^' needs parentheses", self.line)
+        return Power(e, int(exponent[0]))
+
+    def closed(self) -> Expr:
+        """An expression and the ``)`` after it."""
+        e = self.binary()
+        token = self.tokens[self.pos]
+        if token[2] != ")":
+            raise ParseError(f"expected ')', found {_found(token)}", self.line)
+        self.pos += 1
+        return e
 
 
 def parse_expression(text: str, var_indices: dict, line: int = 0) -> Expr:
-    tokens = _tokenize(text, line)
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("empty expression", line)
+    bad = [t[3] for t in tokens if t[3]]
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", line)
+    tokens.append(_END)
+    parser = _ExprParser(tokens, var_indices, line)
     try:
-        return _ExprParser(tokens, var_indices, line).parse()
+        e = parser.binary()
     except RecursionError:
         raise ParseError("expression nests too deeply", line) from None
+    if tokens[parser.pos] is not _END:
+        raise ParseError(f"trailing input starting at {_found(tokens[parser.pos])}", line)
+    return e
 
 
 # --- problem files -----------------------------------------------------------

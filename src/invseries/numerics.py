@@ -136,7 +136,9 @@ def decimal_mpf(text: str, prec: int):
     The fraction's trailing zeros are dropped and its digits folded into
     the exponent.  An exponent beyond ±400 is applied as mpmath does, by a
     product with 10^exp rounded at ``prec`` + 10 bits; a smaller one gives
-    the exactly rounded integer or quotient.  Unlike mpmath, no digit
+    the exactly rounded integer or quotient.  A correctly rounded value is
+    unique, so a dyadic quotient (such as 1.0625) is rounded as an integer
+    and shifted, which skips the long division.  Unlike mpmath, no digit
     string is read through ``int(str)``, so a literal of any length parses
     whatever the interpreter's digit limit, and an empty part is 0.
     """
@@ -157,6 +159,13 @@ def decimal_mpf(text: str, prec: int):
         return mpf_mul(from_int(man, prec + 10), scale, prec, round_nearest)
     if exp >= 0:
         return from_int(man * 10**exp, prec, round_nearest)
+    # man / 10^k with 5^k | man is the integer man / 5^k times 2^-k; most
+    # other literals fail the cheap test by 5 first
+    if man and man % 5 == 0:
+        quotient, rest = divmod(man, 5**-exp)
+        if not rest:
+            sign, bits, shift, bc = from_int(quotient, prec, round_nearest)
+            return sign, bits, shift + exp, bc
     return from_rational(man, 10**-exp, prec, round_nearest)
 
 

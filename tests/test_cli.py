@@ -128,7 +128,7 @@ def test_solve_rejects_an_infinite_tol(capsys):
             " + ".join(["0.001*x^2"] * 1000) + " - 1",
             "error: iteration 0: an expression nests too deeply to evaluate\n",
         ),
-        ("(" * 250 + "x^2 - 2" + ")" * 250, "error: line 2: expression nests too deeply\n"),
+        ("(" * 1000 + "x^2 - 2" + ")" * 1000, "error: line 2: expression nests too deeply\n"),
     ],
     ids=["long-sum", "deep-parentheses"],
 )
@@ -136,6 +136,15 @@ def test_too_deep_an_expression_exits_1_with_one_error_line(capsys, tmp_path, eq
     f = tmp_path / "deep.prob"
     f.write_text(f"vars: x\neq: {equation}\nstart: 1\n")
     assert run(capsys, "solve", "--problem", str(f), "--precision", "30") == (1, "", err)
+
+
+def test_250_levels_of_parentheses_solve_as_the_bare_equation(capsys, tmp_path):
+    f = tmp_path / "nested.prob"
+    f.write_text("vars: x\neq: " + "(" * 250 + "x^2 - 2" + ")" * 250 + "\nstart: 1\n")
+    nested = run(capsys, "solve", "--problem", str(f), "--precision", "30")
+    f.write_text("vars: x\neq: x^2 - 2\nstart: 1\n")
+    bare = run(capsys, "solve", "--problem", str(f), "--precision", "30")
+    assert nested == bare and bare[0] == 0
 
 
 def test_solve_prints_more_digits_than_str_int_allows(capsys):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from invseries.taylor import (
 )
 
 from helpers import derivative_tensor, format_expr
+from test_pinned_bits import SYNTHETIC_8
 
 CTX = Context(60)
 VARS = {"x1": 0, "x2": 1}
@@ -89,7 +92,13 @@ def test_unknown_variable_has_line_number():
         ("vars: x1 x1\neq: x1\nstart: 1\n", "duplicate variable"),
         ("vars: exp\neq: exp\nstart: 1\n", "reserved"),
         ("vars: 1x\neq: 1\nstart: 1\n", "invalid variable name"),
-        ("vars: x1\neq: x1 +\nstart: 1\n", "unexpected token"),
+        ("vars: x1\neq: x1 +\nstart: 1\n", "unexpected end of expression"),
+        ("vars: x1\neq: x1 + )\nstart: 1\n", "unexpected token ')'"),
+        ("vars: x1\neq: (x1\nstart: 1\n", "expected ')', found end of expression"),
+        ("vars: x1\neq: sin(x1 x1)\nstart: 1\n", "expected ')', found 'x1'"),
+        ("vars: x1\neq: x1^\nstart: 1\n", "integer literal, found end of expression"),
+        ("vars: x1\neq: sin x1\nstart: 1\n", "'sin' is a function and needs parentheses"),
+        ("vars: x1\neq: x1 x1\nstart: 1\n", "trailing input starting at 'x1'"),
         ("vars: x1\neq: x1 $ 2\nstart: 1\n", "unexpected character"),
         ("vars: x1\nwhat: 3\neq: x1\nstart: 1\n", "unknown key"),
         ("vars: x1\nstart: 1\neq: x1\n", "eq after start"),
@@ -105,6 +114,19 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_problem(text, CTX)
     assert fragment in str(exc.value)
+
+
+def test_parsing_leaves_no_reference_cycles():
+    """Parsing leaves no cyclic garbage, which would stay in memory until
+    the collector ran."""
+    ctx = Context(300)
+    gc.collect()
+    gc.disable()
+    try:
+        parse_problem(SYNTHETIC_8, ctx)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_eval_scalar_examples():

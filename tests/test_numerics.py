@@ -233,6 +233,12 @@ PARSE_CONTEXTS = {p: Context(p) for p in (16, 60, 300, 1030)}
 @example(precision=300, sign="-", whole="3", frac="", exponent=-400, marker="e")
 @example(precision=300, sign="", whole="3", frac="70", exponent=-400, marker="e")
 @example(precision=300, sign="", whole="", frac="25", exponent=-399, marker="E")
+@example(precision=300, sign="", whole="1", frac="0625", exponent=None, marker="e")
+@example(precision=60, sign="-", whole="0", frac="4375", exponent=None, marker="e")
+@example(precision=300, sign="", whole="6", frac="25", exponent=-2, marker="e")
+@example(precision=300, sign="", whole="1", frac="5", exponent=-3, marker="e")
+# 5 divides the mantissa, and the quotient is wider than 16 digits' 56 bits
+@example(precision=16, sign="", whole="9" * 30, frac="5", exponent=None, marker="e")
 def test_parse_has_mpmath_bits(precision, sign, whole, frac, exponent, marker):
     """Every literal mpmath reads parses to ``ctx.mp.mpf(text)``'s bits, on
     both sides of mpmath's ±400 exponent branch."""
