@@ -2,11 +2,13 @@
 
 Order estimates are log-ratio measurements taken inside a usable window:
 magnitudes must sit strictly between 10^(-precision+100) (above the
-precision floor) and 10^-2 (past the pre-asymptotic phase).  An estimate
-is anchored at an iteration whose magnitude is inside the window; the
-successor it needs must also sit above the floor, since an iterate that
-has already saturated carries only rounding residue.  Summaries are
-medians, which keeps the single boundary iteration from dominating.
+precision floor) and 10^-2 (past the pre-asymptotic phase), and every
+order measurement here refuses a precision that leaves it empty (102
+digits or fewer).  Errors are distances to the known root nearest the
+last iterate.  An estimate is anchored at an iteration inside the window;
+the successor it needs must also sit above the floor, since a saturated
+iterate carries only rounding residue.  Summaries are medians, which
+keeps the single boundary iteration from dominating.
 """
 
 from __future__ import annotations
@@ -34,8 +36,14 @@ class OrderEstimate:
 
 
 def estimator_window(ctx):
-    """(lower, upper) magnitude bounds of the usable window; empty at low precision."""
-    return ctx.pow10(-ctx.precision + 100), ctx.pow10(-2)
+    """(lower, upper) bounds of the usable window; ValueError if it is empty."""
+    lower, upper = ctx.pow10(-ctx.precision + 100), ctx.pow10(-2)
+    if not lower < upper:
+        raise ValueError(
+            f"precision {ctx.precision} is too low to estimate orders: the usable "
+            f"window ({format_scalar(lower, 3)}, {format_scalar(upper, 3)}) is empty"
+        )
+    return lower, upper
 
 
 def _log_ratio(ctx, a, b) -> float:
@@ -45,11 +53,6 @@ def _log_ratio(ctx, a, b) -> float:
     where log cancels near 1, so the quotient keeps double accuracy there.
     """
     return float(ctx.mp.ln(a, prec=64) / ctx.mp.ln(b, prec=64))
-
-
-def nearest_root(problem, x: MPVector) -> MPVector:
-    """The known root closest to ``x`` in the max-norm."""
-    return min(problem.known_roots, key=lambda r: norm_inf(x.sub(r)))
 
 
 def check_root(problem, root: MPVector) -> None:
@@ -67,6 +70,16 @@ def check_root(problem, root: MPVector) -> None:
         )
 
 
+def _errors_to_root(trace: IterationTrace):
+    """The checked known root nearest the last iterate, and each distance to it."""
+    problem = trace.problem
+    if not problem.known_roots:
+        raise ValueError("the problem has no known root to measure against")
+    root = min(problem.known_roots, key=lambda r: norm_inf(trace.rows[-1].x.sub(r)))
+    check_root(problem, root)
+    return root, [norm_inf(row.x.sub(root)) for row in trace.rows]
+
+
 def _usable_pairs(errors, lower, upper) -> list:
     """Every n whose error lies inside the window and whose successor's
     lies above the floor: iterates that have saturated leave only
@@ -78,12 +91,11 @@ def _usable_pairs(errors, lower, upper) -> list:
     ]
 
 
-def estimate_order_known_root(trace: IterationTrace, root: MPVector) -> OrderEstimate:
+def estimate_order_known_root(trace: IterationTrace) -> OrderEstimate:
     """Per-iteration p = log e(n+1) / log e(n) on distances to a known root."""
     ctx = trace.problem.context
     lower, upper = estimator_window(ctx)
-    check_root(trace.problem, root)
-    errors = [norm_inf(row.x.sub(root)) for row in trace.rows]
+    _, errors = _errors_to_root(trace)
     anchors = [n for n, e in enumerate(errors) if lower < e < upper]
     if len(anchors) < 3:
         raise InsufficientDataError(
@@ -124,9 +136,8 @@ def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
 def error_constant_check(trace: IterationTrace, order: int):
     """(measured, predicted) asymptotic error constants for a 1-variable trace.
 
-    k is ``order``, the order the trace was solved at.  The root is the
-    known root nearest the last iterate, refused as ``check_root`` refuses
-    it.  Measured is e(n+1)/e(n)^k at the last usable iteration.  Predicted is
+    k is ``order``, the order the trace was solved at.  Measured is
+    e(n+1)/e(n)^k at the last usable iteration.  Predicted is
     |a_k * f'(root)^k| where a_k is the first series coefficient the
     order-k update drops: x_k = T_k[1, ..., 1] / k!, built at the root
     along the direction 1.
@@ -135,13 +146,9 @@ def error_constant_check(trace: IterationTrace, order: int):
     problem = trace.problem
     if problem.nvars != 1:
         raise ValueError("error_constant_check needs a 1-variable problem")
-    if not problem.known_roots:
-        raise ValueError("error_constant_check needs a known root")
     ctx = problem.context
-    root = nearest_root(problem, trace.rows[-1].x)
-    check_root(problem, root)
-    deltas = [norm_inf(row.x.sub(root)) for row in trace.rows]
     lower, upper = estimator_window(ctx)
+    root, deltas = _errors_to_root(trace)
 
     anchors = _usable_pairs(deltas, lower, upper)
     if anchors:

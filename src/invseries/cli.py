@@ -2,7 +2,8 @@
 
 Exit codes: 0 converged (or all order checks passed), 1 usage or input
 errors, 2 diverged or iteration cap reached, 3 singular Jacobian.
-``order-check`` exits 2 when a row FAILs or a solve did not converge.
+``order-check`` exits 2 when a row FAILs or a solve did not converge, and
+1, before any solve, at 102 digits or fewer (an empty estimator window).
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from .analysis import (
     estimate_order_successive,
     estimator_window,
     markdown_table,
-    nearest_root,
     render_table,
 )
 from .corpus import BUILTIN_NAMES, builtin_problem
 from .errors import InsufficientDataError, InvseriesError
 from .expr import parse_problem
-from .numerics import DEFAULT_PRECISION, Context, format_scalar
+from .numerics import DEFAULT_PRECISION, Context
 from .solver import SolveConfig, Status, solve
 
 _STATUS_EXIT = {
@@ -132,18 +132,17 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _order_row(problem, order: int, trace) -> tuple[list, bool]:
+def _order_row(order: int, trace) -> tuple[list, bool]:
     """The order-check cells of one solve, and whether its verdict passes."""
     cells, summaries = [str(order)], []
-    estimators = [lambda: estimate_order_successive(trace)]
-    if problem.known_roots:
-        root = nearest_root(problem, trace.rows[-1].x)
-        estimators.insert(0, lambda: estimate_order_known_root(trace, root))
+    estimators = [estimate_order_successive]
+    if trace.problem.known_roots:
+        estimators.insert(0, estimate_order_known_root)
     else:
         cells.append("no-root")
     for estimate in estimators:
         try:
-            summaries.append(estimate().summary)
+            summaries.append(estimate(trace).summary)
             cells.append(f"{summaries[-1]:.3f}")
         except InsufficientDataError:
             cells.append("insufficient-data")
@@ -165,18 +164,12 @@ def cmd_order_check(args) -> int:
     # every config is validated before anything is printed
     configs = [_config(args, order) for order in orders]
     ctx = Context(args.precision)
-    lower, upper = estimator_window(ctx)
-    if not lower < upper:
-        raise ValueError(
-            f"--precision {args.precision} is too low to estimate orders: the usable "
-            f"window ({format_scalar(lower, 3)}, {format_scalar(upper, 3)}) is empty"
-        )
-
+    estimator_window(ctx)  # an empty window fails before any solve
     problem = _load_problem(args, ctx)
     for root in problem.known_roots:
         check_root(problem, root)
     # every row is decided before anything is printed
-    rows = [_order_row(problem, c.order, solve(problem, c)) for c in configs]
+    rows = [_order_row(c.order, solve(problem, c)) for c in configs]
     header = ["order", "known_root", "successive", "verdict"]
     print(markdown_table(header, [cells for cells, _ in rows]))
     return 0 if all(ok for _, ok in rows) else 2

@@ -263,8 +263,6 @@ def parse_problem(text: str, ctx: Context) -> Problem:
         if key == "vars":
             if var_names:
                 raise ParseError("duplicate vars line", lineno)
-            if equations or start is not None:
-                raise ParseError("vars must come first", lineno)
             names = rest.split()
             if not names:
                 raise ParseError("vars line declares no variables", lineno)

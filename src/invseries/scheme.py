@@ -207,5 +207,7 @@ def apply_update(terms: list[MPVector], point: MPVector) -> MPVector:
 
 def evaluate_system(problem: Problem, point: MPVector) -> MPVector:
     """All equation values at a point."""
+    if point.dim != problem.nvars:
+        raise ShapeMismatchError("point dimension differs from nvars")
     ctx = problem.context
     return MPVector(eval_scalar(eq, point, ctx) for eq in problem.equations)

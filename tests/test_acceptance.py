@@ -115,11 +115,10 @@ def test_criterion_03_difference_columns(traces):
     report(3, started, 120, f"{checked} printed step magnitudes match to 10 digits")
 
 
-def test_criterion_04_empirical_orders(two_var_problem, traces):
+def test_criterion_04_empirical_orders(traces):
     started = time.time()
-    root = two_var_problem.known_roots[0]
     for k in (2, 3, 4, 5):
-        est = estimate_order_known_root(traces[k], root)
+        est = estimate_order_known_root(traces[k])
         assert abs(est.summary - k) <= 0.1, f"order {k}: {est.summary}"
     report(4, started, 120, "known-root order summaries within 0.1 of nominal")
 
@@ -130,10 +129,7 @@ def test_criterion_05_generic_high_orders(ctx):
     for k in (6, 7):
         trace = solve(problem, SolveConfig(order=k, precision=PRECISION))
         assert trace.status is Status.CONVERGED
-        root = min(
-            problem.known_roots, key=lambda r: norm_inf(trace.rows[-1].x.sub(r))
-        )
-        est = estimate_order_known_root(trace, root)
+        est = estimate_order_known_root(trace)
         assert abs(est.summary - k) <= 0.2, f"order {k}: {est.summary}"
     report(5, started, 120, "orders 6 and 7 measure within 0.2 of nominal")
 

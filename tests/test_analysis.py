@@ -15,7 +15,7 @@ from invseries.analysis import (
 )
 from invseries.errors import InsufficientDataError, InvseriesError
 from invseries.expr import parse_problem
-from invseries.numerics import MPVector, norm_inf
+from invseries.numerics import Context, MPVector, norm_inf
 from invseries.scheme import evaluate_system
 from invseries.solver import IterationTrace, SolveConfig, Status, TraceRow, solve
 
@@ -49,7 +49,7 @@ def test_known_root_on_synthetic_quadratic(scalar_problem, ctx1000):
     mp = ctx1000.mp
     one = mp.mpf(1)
     xs = [MPVector([one + ctx1000.pow10(-e)]) for e in (2, 4, 8, 16)]
-    est = estimate_order_known_root(fake_trace(scalar_problem, xs), MPVector([one]))
+    est = estimate_order_known_root(fake_trace(scalar_problem, xs))
     assert abs(est.summary - 2) < 1e-10
     for _, p in est.estimates:
         assert abs(p - 2) < 1e-10
@@ -71,14 +71,54 @@ def test_known_root_insufficient_data(scalar_problem, ctx1000):
     one = ctx1000.one
     xs = [MPVector([one + ctx1000.pow10(-e)]) for e in (2, 4)]
     with pytest.raises(InsufficientDataError):
-        estimate_order_known_root(fake_trace(scalar_problem, xs), MPVector([one]))
+        estimate_order_known_root(fake_trace(scalar_problem, xs))
 
 
-def test_known_root_rejects_inaccurate_root(scalar_problem, ctx1000):
+def test_known_root_rejects_inaccurate_root(ctx1000):
+    p = parse_problem("vars: x\neq: x^2 - 1\nstart: 4\nroot: 1.001\n", ctx1000)
     xs = [MPVector([ctx1000.one + ctx1000.pow10(-e)]) for e in (2, 4, 8, 16)]
-    not_root = MPVector([ctx1000.mp.mpf("1.001")])
-    with pytest.raises(ValueError):
-        estimate_order_known_root(fake_trace(scalar_problem, xs), not_root)
+    with pytest.raises(ValueError, match="supplied root has residual 2.0009e-3"):
+        estimate_order_known_root(fake_trace(p, xs))
+
+
+def test_known_root_needs_a_known_root(ctx1000):
+    p = parse_problem("vars: x\neq: x^2 - 1\nstart: 4\n", ctx1000)
+    trace = solve(p, SolveConfig(order=2, precision=1000))
+    with pytest.raises(ValueError, match="no known root"):
+        estimate_order_known_root(trace)
+
+
+def test_known_root_measures_against_the_nearest_root(ctx1000):
+    p = parse_problem("vars: x\neq: x^2 - 1\nstart: -4\nroot: 1\nroot: -1\n", ctx1000)
+    trace = solve(p, SolveConfig(order=2, precision=1000))
+    assert abs(estimate_order_known_root(trace).summary - 2) < 0.1
+
+
+EMPTY_WINDOW_50 = (
+    r"precision 50 is too low to estimate orders: "
+    r"the usable window \(1.00e50, 1.00e-2\) is empty"
+)
+
+
+def test_check_root_refuses_an_empty_window():
+    p = parse_problem("vars: x\neq: x^2 - 1\nstart: 4\nroot: 1.5\n", Context(50))
+    with pytest.raises(ValueError, match=EMPTY_WINDOW_50):
+        check_root(p, p.known_roots[0])
+
+
+def test_error_constant_refuses_an_empty_window():
+    p = parse_problem("vars: x\neq: x^2 - 1\nstart: 4\nroot: 1.5\n", Context(50))
+    trace = solve(p, SolveConfig(order=2, precision=50))
+    with pytest.raises(ValueError, match=EMPTY_WINDOW_50):
+        error_constant_check(trace, 2)
+
+
+@pytest.mark.parametrize("estimate", [estimate_order_known_root, estimate_order_successive])
+def test_estimators_refuse_an_empty_window(estimate):
+    p = parse_problem("vars: x\neq: x^2 - 1\nstart: 4\nroot: 1\n", Context(80))
+    trace = solve(p, SolveConfig(order=2, precision=80))
+    with pytest.raises(ValueError, match=r"window \(1.00e20, 1.00e-2\) is empty"):
+        estimate(trace)
 
 
 def test_check_root_maps_too_deep_an_expression(ctx200):
@@ -89,11 +129,10 @@ def test_check_root_maps_too_deep_an_expression(ctx200):
 
 
 def test_known_root_on_reference_traces(two_var, ctx1000):
-    root = two_var.known_roots[0]
     expected_windows = {2: (1.9, 2.1), 3: (2.9, 3.1)}
     for k, (lo, hi) in expected_windows.items():
         trace = solve(two_var, SolveConfig(order=k, precision=1000))
-        est = estimate_order_known_root(trace, root)
+        est = estimate_order_known_root(trace)
         assert lo <= est.summary <= hi
 
 
@@ -125,7 +164,7 @@ def test_successive_insufficient_data(scalar_problem, ctx1000):
 def test_estimators_agree_on_corpus(two_var):
     for k in (2, 3, 4, 5):
         trace = solve(two_var, SolveConfig(order=k, precision=1000))
-        a = estimate_order_known_root(trace, two_var.known_roots[0])
+        a = estimate_order_known_root(trace)
         b = estimate_order_successive(trace)
         if len(a.window) >= 5 and len(b.window) >= 5:
             assert abs(a.summary - b.summary) < 0.15

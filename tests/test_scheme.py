@@ -619,6 +619,13 @@ def test_direction_dimension_checked():
         build_terms(p, p.start, pt(CTX, 1), 2)
 
 
+@pytest.mark.parametrize("vals", [(1,), (1, 1, 1)])
+def test_evaluate_system_checks_the_point_dimension(vals):
+    p = problem_from(TWO_VAR, CTX)
+    with pytest.raises(ShapeMismatchError, match="point dimension differs from nvars"):
+        evaluate_system(p, pt(CTX, *vals))
+
+
 def test_one_var_terms_match_log_inverse_coefficients():
     """Second closed-form oracle: exp(x) - 1 has inverse log(1 + f)."""
     ctx = CTX
