@@ -386,7 +386,9 @@ def eval_top(e: Expr, seeds, ctx: Context):
     (0 - y is -y exactly).  +, -, unary minus, ^1 and a literal factor or
     divisor (``_is_literal``) read their operand's top coefficient alone,
     in ``jet_mul``'s order (a divisor as its one reciprocal).  Every other
-    product, quotient, power and call reads it from its full sweep.
+    product, quotient, power and call reads it from its sweep, whose
+    outermost ``jet_mul`` is lazy: that product sums its top coefficient
+    alone, from its operands' jets in full.
     """
     if isinstance(e, (Const, Var)):
         return None

@@ -9,11 +9,11 @@ pipeline (scalars, vectors, matrices and jets alike).
 from __future__ import annotations
 
 import decimal
-import math
 import re
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import ften, from_int, from_rational, mpf_mul, mpf_pow_int, to_int
+from mpmath.libmp import ften, from_int, from_rational, ln2_fixed, ln10_fixed
+from mpmath.libmp import mpf_mul, mpf_pow_int, to_int
 from mpmath.libmp import round_ceiling, round_floor, round_nearest
 
 from .errors import MalformedDecimalError, ShapeMismatchError, SingularMatrixError
@@ -60,9 +60,11 @@ class Context:
     precision of every live Context of that precision (a test greps
     ``src/`` for such uses).  Two Contexts of one precision are still
     distinct: jets refuse to mix them.  Values are immutable after
-    construction and safe to hand between threads; ``const`` and
-    ``elementary`` only memoize.  ``elementary`` keeps each Context's own
-    memo, so two Contexts of one precision share no entries.
+    construction and safe to hand between threads; ``const``,
+    ``elementary`` and the lazy coefficients of a ``jet_mul`` product only
+    memoize, so two threads that race on one entry both store the same
+    value.  ``elementary`` keeps each Context's own memo, so two Contexts
+    of one precision share no entries.
     """
 
     def __init__(self, precision: int = DEFAULT_PRECISION):
@@ -350,7 +352,13 @@ def format_scalar(x, sig_digits: int, strip_zeros: bool = False) -> str:
     low = 10 ** (sig_digits - 1)
     # bounds this wide leave q's ~3.3·sig_digits bits far inside them
     w = bc + 4 * sig_digits + 64
-    e10 = math.floor((exp + bc - 1) * math.log10(2))
+    # floor(log10 2^top) to within one, from log10 2 in fixed point at 64
+    # bits beyond top's length: a float estimate is off by about 10^6 at
+    # top = 10^22, and ``_scaled_floor`` would then need integers of
+    # 10^22 bits
+    top = exp + bc - 1
+    m = top.bit_length() + 64
+    e10 = top * ((ln2_fixed(m) << m) // ln10_fixed(m)) >> m
     while True:
         q = _scaled_floor(man, exp, bc, sig_digits - 1 - e10, w)
         if q >= low:

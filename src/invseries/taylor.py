@@ -8,23 +8,28 @@ an expression yields exact derivatives of any order, which is what feeds
 the scheme builder.  ``univariate_series`` (elementary functions and the
 reciprocal) and ``binary_power`` serve every evaluator in ``expr``.
 
-``jet_mul`` skips only work whose result is exact, so every coefficient
-keeps the bits of the schoolbook convolution (every nonzero product
-added, in the same order, to an exact 0): it walks a cached table of
-coefficient positions, takes each output's first product as its value
-rather than adding it to 0, and computes the mirror products a_i·a_j and
-a_j·a_i of a square once.  ``binary_power`` starts from the base, not
-from 1·base, and Horner composition adds each series coefficient to the
-constant term alone.  A constant is a degree-0 jet: a constant factor
-or divisor is a ``jet_mul`` with its constant jet, and the composition
-of a constant jet reads its series at degree 0 alone.
+``jet_mul`` is lazy: its product sums each coefficient when it is first
+read, so a path sweep, which reads one coefficient of its outermost
+product, sums that coefficient alone.  It skips only work whose result
+is exact, so every coefficient keeps the bits of the schoolbook
+convolution (every nonzero product added, in the same order, to an
+exact 0): each output walks its pairs in a cached table, takes its first
+product as its value rather than adding it to 0, and computes the
+mirror products a_i·a_j and a_j·a_i of a square once.
+``binary_power`` starts from the base, not from 1·base, and Horner
+composition adds each series coefficient to the constant term alone.
+A constant is a degree-0 jet: a constant factor or divisor is a
+``jet_mul`` with its constant jet, and the composition of a constant jet
+reads its series at degree 0 alone.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections.abc import Mapping
+from functools import lru_cache, reduce
 from itertools import islice
+from operator import add
 
 from .errors import DivisionByZeroJetError, DomainError, ShapeMismatchError
 from .numerics import Context
@@ -52,10 +57,12 @@ def multi_indices(nvars: int, max_degree: int):
 class TaylorPoly:
     """Dense truncated Taylor polynomial in ``nvars`` variables.
 
-    ``coeffs`` is stored as given.  Its keys are every key of
+    ``coeffs`` is stored as given: a dict, or the lazy mapping of a
+    ``jet_mul`` product.  Its keys are every key of
     ``multi_indices(nvars, max_degree)``, in that order; every producer in
     this package builds the full table, so the constructor does not
-    rebuild or re-check it.  Instances are immutable after construction;
+    rebuild or re-check it.  Instances are immutable once handed on (only
+    ``_compose_series`` adds to the constant term of its newest product);
     all operations are pure functions returning fresh polynomials.
     """
 
@@ -139,75 +146,110 @@ def jet_neg(a: TaylorPoly) -> TaylorPoly:
 
 
 @lru_cache(maxsize=None)
-def _product_table(nvars: int, max_degree: int):
-    """The coefficient pairs a truncated product visits, by position.
+def _product_table(nvars: int, max_degree: int) -> dict:
+    """The coefficient pairs each output of a truncated product sums.
 
-    Row j lists (k, o, s) for every position k of ``multi_indices`` whose
-    key adds to key j within the degree bound, o being the position of the
-    sum.  Rows and entries keep the schoolbook order (a's keys outer, b's
-    inner), so each output sums its products in that order.  s numbers
-    the mirror pair {j, k} of a square: -1 on the diagonal, otherwise the
-    same slot for (j, k) and (k, j).
+    Key o maps to every pair (j, k) of ``multi_indices`` keys with
+    j + k = o, in ascending order of j: the schoolbook order (a's keys
+    outer, b's inner), in which that output adds its products.  k falls
+    as j rises, so the pairs with j < k come first, then j = k if o has
+    one, then the mirrors (k, j) of the first ones in reverse order.
     """
     keys = multi_indices(nvars, max_degree)
-    where = {key: pos for pos, key in enumerate(keys)}
-    degrees = [sum(key) for key in keys]
-    slots = {}
-    rows = []
-    for j, ka in enumerate(keys):
-        row = []
-        for k, kb in enumerate(keys):
-            if degrees[j] + degrees[k] <= max_degree:
-                o = where[tuple(x + y for x, y in zip(ka, kb))]
-                s = -1 if j == k else slots.setdefault((min(j, k), max(j, k)), len(slots))
-                row.append((k, o, s))
-        rows.append(tuple(row))
-    return tuple(rows), len(slots)
+    table = {key: [] for key in keys}
+    for ka in keys:
+        for kb in keys:
+            if sum(ka) + sum(kb) > max_degree:
+                break  # the keys are graded: every later kb is of this degree or more
+            table[tuple(x + y for x, y in zip(ka, kb))].append((ka, kb))
+    return {key: tuple(pairs) for key, pairs in table.items()}
+
+
+class _Product(Mapping):
+    """The coefficients of a truncated product, each summed on first read.
+
+    Reading key o sums o's products (``_product_table``) from the
+    factors' coefficients and memoizes the sum.  A lazy factor is read
+    through its own ``__getitem__``, so a chain of products costs one
+    Python frame per level, as deep as the recursion that built it; the
+    sum is written out in ``__getitem__`` for that reason, with no helper
+    or comprehension between the reads.  Every output keeps the bits of the
+    schoolbook sum: a product with a zero factor is skipped, the first
+    product is the value (an output with none is ``ctx.zero``), and in a
+    square each mirror pair is multiplied once and added twice, the
+    second time in the reversed half after the diagonal.  Two threads
+    that race on a read both store the same value.
+    """
+
+    __slots__ = ("_a", "_b", "_pairs", "_zero", "_done")
+
+    def __init__(self, a: TaylorPoly, b: TaylorPoly, pairs: dict):
+        self._a = a.coeffs
+        self._b = a.coeffs if a is b else b.coeffs
+        self._pairs = pairs  # _product_table of the shape, keys in order
+        self._zero = a.ctx.zero
+        self._done = {}
+
+    def __getitem__(self, key):
+        value = self._done.get(key)
+        if value is not None:
+            return value
+        pairs = self._pairs[key]
+        a, b = self._a, self._b
+        terms = []
+        if a is b:
+            half = len(pairs) // 2
+            for ka, kb in pairs[:half]:
+                x = a[ka]
+                if x:
+                    y = a[kb]
+                    if y:
+                        terms.append(x * y)
+            mirrors = terms[::-1]
+            if len(pairs) % 2:
+                x = a[pairs[half][0]]
+                if x:
+                    terms.append(x * x)
+            terms += mirrors
+        else:
+            for ka, kb in pairs:
+                x = a[ka]
+                if x:
+                    y = b[kb]
+                    if y:
+                        terms.append(x * y)
+        value = self._done[key] = reduce(add, terms) if terms else self._zero
+        return value
+
+    def __setitem__(self, key, value):
+        self._done[key] = value
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
 
 
 def jet_mul(a: TaylorPoly, b: TaylorPoly) -> TaylorPoly:
     """Truncated convolution: terms above max_degree are discarded.
 
-    Bit for bit the schoolbook product: products with a zero factor are
-    skipped, each output's first product becomes its value, and when
-    ``a is b`` each mirror product is computed once and used twice.
+    The product is lazy: its ``coeffs`` (``_Product``) sums each
+    coefficient on first read, so a sweep that reads one coefficient of
+    its outermost product sums that one alone, and reads the inner
+    products in full.  Bit for bit the schoolbook product: products with
+    a zero factor are skipped, each output's first product becomes its
+    value, and when ``a is b`` each mirror product is computed once and
+    used twice.
+
+    Laziness is safe because a jet handed to ``jet_mul`` is never
+    mutated afterwards, so a late read sees the factors it was given.
+    ``_compose_series`` mutates only its newest product, before it
+    passes it on.
     """
     _check_same_shape(a, b)
-    ctx, n, d = a.ctx, a.nvars, a.max_degree
-    rows, nslots = _product_table(n, d)
-    ac = [c if c else None for c in a.coeffs.values()]
-    out = [None] * len(ac)
-    if a is b:
-        saved = [None] * nslots
-        for j, (aj, row) in enumerate(zip(ac, rows)):
-            if aj is None:
-                continue
-            for k, o, s in row:
-                ak = ac[k]
-                if ak is None:
-                    continue
-                if k > j:
-                    prod = saved[s] = aj * ak
-                elif k < j:
-                    prod = saved[s]
-                else:
-                    prod = aj * ak
-                cur = out[o]
-                out[o] = prod if cur is None else cur + prod
-    else:
-        bc = [c if c else None for c in b.coeffs.values()]
-        for aj, row in zip(ac, rows):
-            if aj is None:
-                continue
-            for k, o, _ in row:
-                bk = bc[k]
-                if bk is not None:
-                    prod = aj * bk
-                    cur = out[o]
-                    out[o] = prod if cur is None else cur + prod
-    zero = ctx.zero
-    coeffs = dict(zip(multi_indices(n, d), (zero if c is None else c for c in out)))
-    return TaylorPoly(ctx, n, d, coeffs)
+    n, d = a.nvars, a.max_degree
+    return TaylorPoly(a.ctx, n, d, _Product(a, b, _product_table(n, d)))
 
 
 def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
@@ -216,7 +258,8 @@ def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
     A one-term series is the constant jet of series[0].  a - a0 has a
     zero constant term, so each Horner product does too, and adding
     series[k] touches the constant term alone.  The products are fresh
-    jets no caller has seen, so that add is done in place.
+    jets no caller has seen, so that add is done in place, before the
+    product is handed to the next ``jet_mul`` or returned.
     """
     ctx, n, d = a.ctx, a.nvars, a.max_degree
     if len(series) == 1:

@@ -201,18 +201,33 @@ needs_int_digit_limit = pytest.mark.skipif(
 LIMIT_FLAG = ["-X", f"int_max_str_digits={SMALLEST_INT_DIGIT_LIMIT}"]
 
 
-def _child(*args, cwd=None):
+def _child(*args, cwd=None, timeout=600):
     """A child interpreter that imports this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(Path(invseries.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
-        timeout=600,
+        timeout=timeout,
     )
 
 
 def _run_limited(*argv, cwd=None):
     """The CLI under the smallest int <-> str digit limit Python allows."""
     return _child(*LIMIT_FLAG, "-m", "invseries.cli", *argv, cwd=cwd)
+
+
+def test_a_residual_with_a_huge_exponent_renders_in_its_table(tmp_path):
+    """exp(10^25) is about 2^(1.4·10^25): its row renders within seconds,
+    and the solve exits with its status, not a traceback."""
+    f = tmp_path / "p.prob"
+    f.write_text("vars: x\neq: exp(x) - 2\nstart: 1e25\n")
+    done = _child(
+        "-m", "invseries.cli", "solve", "--problem", str(f), "--precision", "50",
+        timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (2, "")
+    # exp(10^25) = 10^(10^25·log10 e) = 10^4342944819032518276511289.189166...
+    assert "| 0 | 1e25 | - | 1.545845374e4342944819032518276511289 |" in done.stdout
+    assert done.stdout.endswith("status: max-iters\n")
 
 
 @needs_int_digit_limit

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_str
 
 import invseries
 from invseries.errors import (
@@ -209,6 +209,31 @@ def test_format_renders_a_huge_exponent_quickly():
     )
     # both literals parse to a float just below 10^±100000000
     assert done.stdout.split() == ["9.999999999e99999999", "9.999999999e-100000001"]
+
+
+def test_format_renders_huge_binary_exponents_quickly():
+    """2^(±10^20), 2^(±10^22) and 2^(±10^24), against mpmath's digits,
+    truncated.  A float estimate of the decimal exponent is off by about
+    10^6 here, which sent the rendering into exact integers of 10^22 bits
+    (an OverflowError, or minutes of work)."""
+    exponents = [sign * 10**k for k in (20, 22, 24) for sign in (1, -1)]
+    code = (
+        "from mpmath.libmp import from_man_exp\n"
+        "from invseries.numerics import Context, format_scalar\n"
+        "ctx = Context(60)\n"
+        f"for e in {exponents}:\n"
+        "    print(format_scalar(ctx.mp.make_mpf(from_man_exp(1, e)), 50))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(invseries.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    expected = []
+    for e in exponents:
+        mantissa, exp10 = to_str(from_man_exp(1, e), 70).split("e")
+        digits = mantissa.replace(".", "")[:50]
+        expected.append(f"{digits[0]}.{digits[1:]}e{int(exp10)}")
+    assert (done.stdout.split(), done.stderr) == (expected, "")
 
 
 def test_format_refuses_a_non_finite_value():

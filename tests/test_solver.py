@@ -168,6 +168,17 @@ def test_zero_denominator_at_the_start_is_an_iteration_error(ctx1000):
     assert info.value.iteration == 0
 
 
+@pytest.mark.parametrize("order", [3, 5])
+def test_a_long_product_chain_still_solves(order):
+    """A sweep reads the top of x·x·…·x through 899 lazy products, one
+    Python frame each, as deep as the evaluator's own recursion."""
+    ctx = Context(50)
+    p = parse_problem("vars: x\neq: " + "*".join(["x"] * 900) + " - 2\nstart: 1.001\n", ctx)
+    trace = solve(p, SolveConfig(order=order, precision=50))
+    assert trace.status is Status.CONVERGED
+    assert abs(trace.rows[-1].x[0] ** 900 - 2) < ctx.pow10(-40)
+
+
 def test_too_deep_an_expression_is_an_iteration_error():
     ctx = Context(30)
     p = parse_problem("vars: x\neq: " + " + ".join(["x"] * 1200) + " - 1\nstart: 1\n", ctx)

@@ -224,13 +224,49 @@ def _bits(jet):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_jet_mul_is_bitwise_the_schoolbook_product(data):
+    """Whatever order the coefficients are read in: each is summed on its
+    first read, and a lazy factor is read through its own memo."""
     nvars = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, 6))
     a = data.draw(sparse_jets(nvars, degree))
     b = data.draw(sparse_jets(nvars, degree))
     twin = TaylorPoly(CTX, nvars, degree, dict(a.coeffs))  # equal, not identical
-    for x, y in ((a, b), (b, a), (a, a), (a, twin)):
-        assert _bits(jet_mul(x, y)) == _bits(schoolbook_jet_mul(x, y))
+    ab, lazy_ab = schoolbook_jet_mul(a, b), jet_mul(a, b)
+    cases = [(x, y, schoolbook_jet_mul(x, y)) for x, y in ((a, b), (b, a), (a, a), (a, twin))]
+    cases += [
+        (lazy_ab, a, schoolbook_jet_mul(ab, a)),
+        (lazy_ab, lazy_ab, schoolbook_jet_mul(ab, ab)),
+    ]
+    keys = multi_indices(nvars, degree)
+    for x, y, reference in cases:
+        product = jet_mul(x, y)
+        read = {key: product.coeffs[key]._mpf_ for key in data.draw(st.permutations(keys))}
+        assert [(key, read[key]) for key in keys] == _bits(reference)
+
+
+def test_reading_the_top_of_a_square_sums_that_coefficient_alone():
+    """A sweep's seed has an exact 0 at its top degree; the top of its
+    square takes the 3 products a_j·a_(7-j), j = 1..3, each used twice.
+    The other coefficients take the remaining 16 of the 19 a full
+    square computes."""
+    calls = []
+
+    class Counted(type(CTX.one)):
+        def __mul__(self, other):
+            calls.append((self, other))
+            return super().__mul__(other)
+
+    values = [Counted(CTX.mp.mpf(num) / 7) for num in (3, -5, 2, 9, -4, 6, 1)]
+    seed = TaylorPoly(CTX, 1, 7, dict(zip(multi_indices(1, 7), values + [CTX.zero])))
+    plain = TaylorPoly(CTX, 1, 7, {key: CTX.mp.mpf(c) for key, c in seed.coeffs.items()})
+    square = jet_mul(seed, seed)
+    top = square.coeffs[(7,)]
+    assert len(calls) == 3
+    assert top._mpf_ == schoolbook_jet_mul(plain, plain).coeffs[(7,)]._mpf_
+    assert _bits(square) == _bits(schoolbook_jet_mul(plain, plain))
+    assert len(calls) == 19
+    _bits(square)  # memoized: a second read multiplies nothing
+    assert len(calls) == 19
 
 
 @given(data=st.data())
