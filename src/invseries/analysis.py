@@ -19,7 +19,7 @@ import json
 import statistics
 from dataclasses import dataclass
 
-from .errors import NESTS_TOO_DEEPLY, InsufficientDataError, InvseriesError
+from .errors import InsufficientDataError, within_depth
 from .expr import eval_jet
 from .numerics import MPVector, format_scalar, norm_inf
 from .scheme import build_terms, check_order, evaluate_system
@@ -57,12 +57,9 @@ def _log_ratio(ctx, a, b) -> float:
 
 def check_root(problem, root: MPVector) -> None:
     """Refuse a root whose residual does not sit below the estimator window;
-    an expression too deep to evaluate raises ``InvseriesError``."""
+    ``evaluate_system`` raises ``InvseriesError`` on too deep an expression."""
     lower, _ = estimator_window(problem.context)
-    try:
-        root_residual = norm_inf(evaluate_system(problem, root))
-    except RecursionError:
-        raise InvseriesError(NESTS_TOO_DEEPLY) from None
+    root_residual = norm_inf(evaluate_system(problem, root))
     if not root_residual < lower:
         raise ValueError(
             f"supplied root has residual {format_scalar(root_residual, 5)}; "
@@ -140,7 +137,7 @@ def error_constant_check(trace: IterationTrace, order: int):
     e(n+1)/e(n)^k at the last usable iteration.  Predicted is
     |a_k * f'(root)^k| where a_k is the first series coefficient the
     order-k update drops: x_k = T_k[1, ..., 1] / k!, built at the root
-    along the direction 1.
+    along the direction 1.  Too deep an expression raises ``InvseriesError``.
     """
     check_order(order)
     problem = trace.problem
@@ -163,7 +160,8 @@ def error_constant_check(trace: IterationTrace, order: int):
 
     # first dropped coefficient: build one extra term at the root
     a_k = build_terms(problem, root, MPVector([ctx.one]), order)[-1][0]
-    fprime = jet_partial(eval_jet(problem.equations[0], root, 1, ctx), 0).value()
+    jet = within_depth(eval_jet, problem.equations[0], root, 1, ctx)
+    fprime = within_depth(jet_partial, jet, 0).value()  # reads the lazy jet
     predicted = abs(a_k * fprime**order)
     return measured, predicted
 

@@ -1,7 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``within_depth``: every
+evaluation of a problem outside ``expr`` runs inside it."""
 
 # the message of an evaluation that exceeds Python's recursion limit
 NESTS_TOO_DEEPLY = "an expression nests too deeply to evaluate"
+
+
+def within_depth(evaluate, *args):
+    """``evaluate(*args)``, with a ``RecursionError`` raised as ``InvseriesError``;
+    ``evaluate`` makes the reads it needs of a lazy ``jet_mul`` product, whose
+    first read of a coefficient recurses through its factors."""
+    try:
+        return evaluate(*args)
+    except RecursionError:
+        raise InvseriesError(NESTS_TOO_DEEPLY) from None
 
 
 class InvseriesError(Exception):
@@ -55,11 +66,8 @@ class InsufficientDataError(InvseriesError):
 
 
 class IterationError(InvseriesError):
-    """Evaluation failed while building an update; carries the iterate index.
-    A ``RecursionError`` fault reads as ``NESTS_TOO_DEEPLY``."""
+    """Evaluation failed while building an update; carries the iterate index."""
 
     def __init__(self, iteration, fault):
         self.iteration = iteration
-        if isinstance(fault, RecursionError):
-            fault = NESTS_TOO_DEEPLY
         super().__init__(f"iteration {iteration}: {fault}")

@@ -46,7 +46,6 @@ from .taylor import (
     jet_mul,
     jet_neg,
     jet_pow_int,
-    jet_recip,
     jet_sub,
     jet_var,
     univariate_series,
@@ -352,8 +351,8 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     Every seed has the same number of variables and degree, and so does
     every intermediate jet.  A literal is its constant jet, so a literal
     factor or divisor (-c included) is a ``jet_mul`` with that jet or
-    with its ``jet_recip``: each coefficient takes one product, and the
-    reciprocal one division.
+    with its ``recip`` composition: each coefficient takes one product,
+    and the reciprocal one division.
     """
     if isinstance(e, Const):
         return jet_constant(ctx, ctx.const(e.text), seeds[0].nvars, seeds[0].max_degree)
@@ -369,7 +368,7 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
             return jet_sub(left, right)
         if e.op == "*":
             return jet_mul(left, right)
-        return jet_mul(left, jet_recip(right))
+        return jet_mul(left, jet_compose_univariate("recip", right))
     if isinstance(e, Power):
         return jet_pow_int(eval_jet_at(e.base, seeds, ctx), e.exponent)
     if isinstance(e, Call):

@@ -12,7 +12,8 @@ closed-form derivative-of-inverse formulas are needed at any order.
 
 ``jacobian_series`` (multivariate jets) and ``series_matrix_inverse``
 (the paper's inverse-Jacobian series) are the references; the solver
-uses neither.
+uses neither.  Each equation is evaluated inside ``within_depth``, so an
+expression too deep to evaluate raises ``InvseriesError``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add, mul
 
-from .errors import SchemeSizeError, ShapeMismatchError
+from .errors import SchemeSizeError, ShapeMismatchError, within_depth
 from .expr import (
     Problem,
     eval_jet,
@@ -99,7 +100,7 @@ def jacobian(problem: Problem, point: MPVector) -> MPMatrix:
     xs = [ctx.mp.mpf(x) for x in point]
     rows = []
     for eq in problem.equations:
-        grad = eval_partials(eq, xs, ctx)
+        grad = within_depth(eval_partials, eq, xs, ctx)
         rows.append([grad.get(i, ctx.zero) for i in range(problem.nvars)])
     return MPMatrix(rows)
 
@@ -112,11 +113,12 @@ def jacobian_series(problem: Problem, point: MPVector, budget_degree: int) -> Se
     if budget_degree < 0:
         raise ValueError("budget_degree must be >= 0")
     ctx = problem.context
-    jets = [eval_jet(eq, point, budget_degree + 1, ctx) for eq in problem.equations]
-    n = problem.nvars
-    return SeriesMatrix(
-        tuple(jet_partial(jets[j], i) for i in range(n)) for j in range(n)
-    )
+
+    def partials(eq):
+        jet = eval_jet(eq, point, budget_degree + 1, ctx)
+        return [jet_partial(jet, i) for i in range(problem.nvars)]
+
+    return SeriesMatrix(within_depth(partials, eq) for eq in problem.equations)
 
 
 def _mat_add(a, b):
@@ -192,8 +194,8 @@ def build_terms(
         seeds = [
             TaylorPoly(ctx, 1, p, dict(zip(keys, (*xs, ctx.zero)))) for xs in zip(*path)
         ]
-        c = [eval_top(eq, seeds, ctx) or ctx.zero for eq in problem.equations]
-        path.append([-x for x in _mat_vec(X0, c)])
+        c = [within_depth(eval_top, eq, seeds, ctx) for eq in problem.equations]
+        path.append([-x for x in _mat_vec(X0, [v or ctx.zero for v in c])])
     return [MPVector(xs) for xs in path[1:]]
 
 
@@ -210,4 +212,4 @@ def evaluate_system(problem: Problem, point: MPVector) -> MPVector:
     if point.dim != problem.nvars:
         raise ShapeMismatchError("point dimension differs from nvars")
     ctx = problem.context
-    return MPVector(eval_scalar(eq, point, ctx) for eq in problem.equations)
+    return MPVector(within_depth(eval_scalar, eq, point, ctx) for eq in problem.equations)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import DomainError, IterationError, MalformedDecimalError, SingularMatrixError
+from .errors import InvseriesError, IterationError, MalformedDecimalError, SingularMatrixError
 from .expr import Problem
 from .numerics import (
     DEFAULT_PRECISION,
@@ -126,9 +126,9 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     norm, and (when roots are configured) the max-norm distance to the
     nearest known root.  A step ends the run as converged when its norm is
     at or below the tolerance, else as diverged when ``diverged`` holds for
-    the step norms of the rows so far.  An evaluation fault (a domain
-    error, a division by zero, an expression too deep to evaluate) raises
-    ``IterationError`` at its iteration.
+    the step norms of the rows so far.  An evaluation fault, any
+    ``InvseriesError`` but a singular Jacobian (a domain error, a division by
+    zero, too deep an expression), raises ``IterationError`` at its iteration.
     """
     ctx = problem.context
     if ctx.precision != config.precision:
@@ -141,7 +141,7 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     x = problem.start
     try:
         f_x = evaluate_system(problem, x)
-    except (DomainError, ZeroDivisionError, RecursionError) as exc:
+    except InvseriesError as exc:
         raise IterationError(0, exc) from exc
     rows = [TraceRow(0, x, None, None, norm_inf(f_x), _error_vs_root(problem, x))]
     status = Status.MAX_ITERS
@@ -154,7 +154,7 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
         except SingularMatrixError:
             status = Status.SINGULAR_JACOBIAN
             break
-        except (DomainError, ZeroDivisionError, RecursionError) as exc:
+        except InvseriesError as exc:
             raise IterationError(it, exc) from exc
         step = new_x.sub(x)
         snorm = norm_inf(step)

@@ -62,7 +62,7 @@ class TaylorPoly:
     ``multi_indices(nvars, max_degree)``, in that order; every producer in
     this package builds the full table, so the constructor does not
     rebuild or re-check it.  Instances are immutable once handed on (only
-    ``_compose_series`` adds to the constant term of its newest product);
+    ``jet_var`` and ``_compose_series`` write to a fresh jet, before that);
     all operations are pure functions returning fresh polynomials.
     """
 
@@ -87,26 +87,21 @@ class TaylorPoly:
         return f"TaylorPoly(nvars={self.nvars}, max_degree={self.max_degree})"
 
 
-def _zeros(ctx: Context, nvars: int, max_degree: int) -> dict:
-    return dict.fromkeys(multi_indices(nvars, max_degree), ctx.zero)
-
-
 def jet_constant(ctx: Context, value, nvars: int, max_degree: int) -> TaylorPoly:
-    coeffs = _zeros(ctx, nvars, max_degree)
+    coeffs = dict.fromkeys(multi_indices(nvars, max_degree), ctx.zero)
     coeffs[(0,) * nvars] = ctx.mp.mpf(value)
     return TaylorPoly(ctx, nvars, max_degree, coeffs)
 
 
 def jet_var(ctx: Context, i: int, base, nvars: int, max_degree: int) -> TaylorPoly:
-    """The jet of the coordinate function x_i around the value ``base``."""
+    """The jet of the coordinate function x_i around the value ``base``:
+    the constant jet of ``base`` with a 1 at the unit key of x_i."""
     if not 0 <= i < nvars:
         raise ShapeMismatchError(f"variable index {i} out of range for {nvars} vars")
-    coeffs = _zeros(ctx, nvars, max_degree)
-    coeffs[(0,) * nvars] = ctx.mp.mpf(base)
+    jet = jet_constant(ctx, base, nvars, max_degree)
     if max_degree >= 1:
-        unit = tuple(1 if j == i else 0 for j in range(nvars))
-        coeffs[unit] = ctx.one
-    return TaylorPoly(ctx, nvars, max_degree, coeffs)
+        jet.coeffs[tuple(1 if j == i else 0 for j in range(nvars))] = ctx.one
+    return jet
 
 
 def _check_same_shape(a: TaylorPoly, b: TaylorPoly):
@@ -274,11 +269,6 @@ def _compose_series(series, a: TaylorPoly) -> TaylorPoly:
         result = jet_mul(result, shifted)
         result.coeffs[origin] += series[k]
     return result
-
-
-def jet_recip(a: TaylorPoly) -> TaylorPoly:
-    """Multiplicative inverse truncated to max_degree (the ``recip`` series)."""
-    return jet_compose_univariate("recip", a)
 
 
 def binary_power(a, n: int, mul):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -13,7 +14,7 @@ from invseries.analysis import (
     markdown_table,
     render_table,
 )
-from invseries.errors import InsufficientDataError, InvseriesError
+from invseries.errors import NESTS_TOO_DEEPLY, InsufficientDataError, InvseriesError
 from invseries.expr import parse_problem
 from invseries.numerics import Context, MPVector, norm_inf
 from invseries.scheme import evaluate_system
@@ -126,6 +127,37 @@ def test_check_root_maps_too_deep_an_expression(ctx200):
     p = parse_problem(text, ctx200)
     with pytest.raises(InvseriesError, match="an expression nests too deeply to evaluate"):
         check_root(p, p.known_roots[0])
+
+
+def _deeper(frames, fn, *args):
+    """``fn(*args)``, called ``frames`` Python frames below this call."""
+    return fn(*args) if frames == 0 else _deeper(frames - 1, fn, *args)
+
+
+def test_error_constant_check_maps_too_deep_a_sweep():
+    """exp(x·…·x) at the least depth where error_constant_check overflows.
+
+    On CPython 3.11 that depth leaves check_root one frame to spare: the
+    overflow is the order-2 sweep in build_terms, which reads the lazy
+    products of the chain through the exp composition.  Whatever overflows,
+    the caller gets InvseriesError, never RecursionError.
+    """
+    ctx = Context(200)
+    root = ctx.mp.log(8) ** (ctx.mp.mpf(1) / 300)
+    text = f"vars: x\neq: exp({'*'.join(['x'] * 300)}) - 8\nstart: 1.001\nroot: {root}\n"
+    trace = solve(parse_problem(text, ctx), SolveConfig(order=2, precision=200))
+    assert trace.status is Status.CONVERGED
+    passes, fails = 0, sys.getrecursionlimit()
+    while fails - passes > 1:
+        middle = (passes + fails) // 2
+        try:
+            _deeper(middle, error_constant_check, trace, 2)
+            passes = middle
+        except (InvseriesError, RecursionError):
+            fails = middle
+    with pytest.raises(InvseriesError) as info:
+        _deeper(fails, error_constant_check, trace, 2)
+    assert str(info.value) == NESTS_TOO_DEEPLY
 
 
 def test_known_root_on_reference_traces(two_var, ctx1000):

@@ -30,10 +30,10 @@ from invseries.expr import (
 from invseries.numerics import Context, MPVector
 from invseries.taylor import (
     TaylorPoly,
+    jet_compose_univariate,
     jet_constant,
     jet_mul,
     jet_neg,
-    jet_recip,
     multi_indices,
 )
 
@@ -264,18 +264,24 @@ def _const_jet(text):
     [
         ("2.5 * (x1*x2)", "x1*x2", lambda e: jet_mul(_const_jet("2.5"), e)),
         ("(x1*x2) * 2.5", "x1*x2", lambda e: jet_mul(e, _const_jet("2.5"))),
-        ("(x1*x2) / 2.5", "x1*x2", lambda e: jet_mul(e, jet_recip(_const_jet("2.5")))),
+        (
+            "(x1*x2) / 2.5",
+            "x1*x2",
+            lambda e: jet_mul(e, jet_compose_univariate("recip", _const_jet("2.5"))),
+        ),
         (
             "0.3 * sin(x1) / 7",
             "sin(x1)",
-            lambda e: jet_mul(jet_mul(_const_jet("0.3"), e), jet_recip(_const_jet("7"))),
+            lambda e: jet_mul(
+                jet_mul(_const_jet("0.3"), e), jet_compose_univariate("recip", _const_jet("7"))
+            ),
         ),
         ("x1^2 * 0", "x1^2", lambda e: jet_mul(e, _const_jet("0"))),
         ("-2.5 * (x1*x2)", "x1*x2", lambda e: jet_mul(jet_neg(_const_jet("2.5")), e)),
         (
             "(x1*x2) / -2.5",
             "x1*x2",
-            lambda e: jet_mul(e, jet_recip(jet_neg(_const_jet("2.5")))),
+            lambda e: jet_mul(e, jet_compose_univariate("recip", jet_neg(_const_jet("2.5")))),
         ),
     ],
 )

@@ -155,3 +155,16 @@ def test_the_check_sees_a_private_orphan():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unused_private_names(sources) == []
+
+
+def test_only_within_depth_and_the_parser_name_recursion_error():
+    """Every evaluation outside ``expr`` runs inside ``errors.within_depth``,
+    which turns a RecursionError into InvseriesError; parse depth is the
+    parser's own decision.  No other top-level statement names the error."""
+    namers = []
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        for stmt in ast.parse(source).body:
+            if "RecursionError" in ast.get_source_segment(source, stmt):
+                namers.append((path.stem, getattr(stmt, "name", "")))
+    assert namers == [("errors", "within_depth"), ("expr", "parse_expression")]

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from invseries import scheme
 from invseries.corpus import BUILTIN_NAMES, builtin_problem
 from invseries.errors import (
+    NESTS_TOO_DEEPLY,
     DivisionByZeroJetError,
     DomainError,
+    InvseriesError,
     SchemeSizeError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -624,6 +626,24 @@ def test_evaluate_system_checks_the_point_dimension(vals):
     p = problem_from(TWO_VAR, CTX)
     with pytest.raises(ShapeMismatchError, match="point dimension differs from nvars"):
         evaluate_system(p, pt(CTX, *vals))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p: evaluate_system(p, p.start),
+        lambda p: scheme.jacobian(p, p.start),
+        lambda p: build_terms(p, p.start, MPVector([p.context.one]), 2),
+        lambda p: jacobian_series(p, p.start, 1),
+    ],
+    ids=["evaluate_system", "jacobian", "build_terms", "jacobian_series"],
+)
+def test_too_deep_an_expression_raises_invseries_error(ctx200, evaluate):
+    text = "vars: x\neq: " + " + ".join(["x"] * 1200) + " - 1200\nstart: 2\nroot: 1\n"
+    p = parse_problem(text, ctx200)
+    with pytest.raises(InvseriesError) as info:
+        evaluate(p)
+    assert str(info.value) == NESTS_TOO_DEEPLY
 
 
 def test_one_var_terms_match_log_inverse_coefficients():

@@ -22,7 +22,6 @@ from invseries.taylor import (
     jet_neg,
     jet_partial,
     jet_pow_int,
-    jet_recip,
     jet_sub,
     jet_var,
     multi_indices,
@@ -132,12 +131,13 @@ def test_shape_mismatch_rejected():
 
 
 def test_recip_constant():
-    assert jet_recip(jet_constant(CTX, 2, 1, 0)).value() == CTX.mp.mpf("0.5")
+    r = jet_compose_univariate("recip", jet_constant(CTX, 2, 1, 0))
+    assert r.value() == CTX.mp.mpf("0.5")
 
 
 def test_recip_geometric_series():
     one_plus_h = jet_var(CTX, 0, CTX.one, 1, 3)
-    r = jet_recip(one_plus_h)
+    r = jet_compose_univariate("recip", one_plus_h)
     for k, expected in enumerate([1, -1, 1, -1]):
         assert abs(r.coeffs[(k,)] - expected) < TOL
 
@@ -145,13 +145,13 @@ def test_recip_geometric_series():
 def test_recip_zero_constant_term():
     h = jet_var(CTX, 0, CTX.zero, 1, 3)
     with pytest.raises(DivisionByZeroJetError):
-        jet_recip(h)
+        jet_compose_univariate("recip", h)
 
 
 def test_recip_of_a_tiny_constant_term():
     # only an exact zero has no reciprocal, however small the working scale
     ctx = Context(1000)
-    r = jet_recip(jet_constant(ctx, "1e-600", 1, 2))
+    r = jet_compose_univariate("recip", jet_constant(ctx, "1e-600", 1, 2))
     assert abs(r.value() * ctx.mp.mpf("1e-600") - 1) < ctx.pow10(-990)
 
 
@@ -159,7 +159,7 @@ def test_recip_of_a_tiny_constant_term():
 @settings(max_examples=40)
 def test_recip_defining_property(a, const):
     shifted = jet_add(a, jet_constant(CTX, 10 * const, 2, 3))
-    prod = jet_mul(shifted, jet_recip(shifted))
+    prod = jet_mul(shifted, jet_compose_univariate("recip", shifted))
     one = jet_constant(CTX, 1, 2, 3)
     assert max_coeff_diff(prod, one) < TOL
 
@@ -281,9 +281,10 @@ def test_a_product_with_a_constant_jet_scales_each_coefficient(data):
     before = _bits(a)
     scaled = [(alpha, (s * c if c else CTX.zero)._mpf_) for alpha, c in a.coeffs.items()]
     assert _bits(jet_mul(constant, a)) == _bits(jet_mul(a, constant)) == scaled
-    # a constant divisor: jet_recip of a constant jet is the constant 1/s
+    # a constant divisor: the recip composition of a constant jet is the constant 1/s
     if s:
-        assert _bits(jet_recip(constant)) == _bits(jet_constant(CTX, CTX.mp.mpf(1) / s, nvars, degree))
+        recip = jet_compose_univariate("recip", constant)
+        assert _bits(recip) == _bits(jet_constant(CTX, CTX.mp.mpf(1) / s, nvars, degree))
     assert _bits(a) == before
 
 
@@ -323,7 +324,7 @@ def test_composition_is_bitwise_the_schoolbook_horner(fn):
     inv = [CTX.one / a.value()]
     for _ in range(4):
         inv.append(-inv[-1] * inv[0])
-    assert _bits(jet_recip(a)) == _bits(_schoolbook_compose(inv, a))
+    assert _bits(jet_compose_univariate("recip", a)) == _bits(_schoolbook_compose(inv, a))
     assert _bits(a) == before
 
 
@@ -501,7 +502,7 @@ def test_every_producer_builds_the_full_index_table(nvars, degree, data):
         jet_sub(a, b),
         jet_neg(a),
         jet_mul(a, b),
-        jet_recip(a),
+        jet_compose_univariate("recip", a),
         jet_pow_int(a, 3),
         *(jet_compose_univariate(fn, a) for fn in RESERVED_FUNCTIONS),
         jet_partial(a, i),
