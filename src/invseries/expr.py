@@ -19,7 +19,9 @@ File format (UTF-8, ``#`` starts a comment, keys in this order)::
     root: <decimal> ...           # optional, repeatable
 
 Operator precedence, tightest first: ``^`` (non-negative integer literal
-exponents only), unary minus, ``* /``, ``+ -``.
+exponents only), unary minus, ``* /``, ``+ -``.  The parser folds a unary
+minus on a number literal into its text (``-2`` is ``Const("-2")``) and
+makes any other one a product with the literal -1, which is exact.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .taylor import (
     jet_compose_univariate,
     jet_constant,
     jet_mul,
-    jet_neg,
     jet_pow_int,
     jet_sub,
     jet_var,
@@ -68,11 +69,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
 class BinOp:
     op: str  # one of + - * /
     left: "Expr"
@@ -91,7 +87,7 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Const, Var, Neg, BinOp, Power, Call]
+Expr = Union[Const, Var, BinOp, Power, Call]
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,10 @@ class _ExprParser:
         elif op == "(":
             e = self.closed()
         elif op == "-":
-            return Neg(self.unary())
+            e = self.unary()
+            if isinstance(e, Const):
+                return Const(e.text[1:] if e.text[0] == "-" else "-" + e.text)
+            return BinOp("*", Const("-1"), e)
         elif op == "+":
             return self.unary()
         else:
@@ -319,8 +318,6 @@ def eval_scalar(e: Expr, point: MPVector, ctx: Context):
         return ctx.const(e.text)
     if isinstance(e, Var):
         return point[e.index]
-    if isinstance(e, Neg):
-        return -eval_scalar(e.arg, point, ctx)
     if isinstance(e, BinOp):
         left = eval_scalar(e.left, point, ctx)
         right = eval_scalar(e.right, point, ctx)
@@ -338,28 +335,19 @@ def eval_scalar(e: Expr, point: MPVector, ctx: Context):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _is_literal(node) -> bool:
-    """``Const`` or ``Neg(Const)``: a signed literal, valued without a point."""
-    if isinstance(node, Neg):
-        node = node.arg
-    return isinstance(node, Const)
-
-
 def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
     """Jet of an expression whose variable ``i`` is the jet ``seeds[i]``.
 
     Every seed has the same number of variables and degree, and so does
     every intermediate jet.  A literal is its constant jet, so a literal
-    factor or divisor (-c included) is a ``jet_mul`` with that jet or
-    with its ``recip`` composition: each coefficient takes one product,
-    and the reciprocal one division.
+    factor or divisor is a ``jet_mul`` with that jet or with its ``recip``
+    composition: each coefficient takes one product, and the reciprocal
+    one division.
     """
     if isinstance(e, Const):
         return jet_constant(ctx, ctx.const(e.text), seeds[0].nvars, seeds[0].max_degree)
     if isinstance(e, Var):
         return seeds[e.index]
-    if isinstance(e, Neg):
-        return jet_neg(eval_jet_at(e.arg, seeds, ctx))
     if isinstance(e, BinOp):
         left, right = eval_jet_at(e.left, seeds, ctx), eval_jet_at(e.right, seeds, ctx)
         if e.op == "+":
@@ -377,42 +365,24 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
 
 
 def eval_top(e: Expr, seeds, ctx: Context):
-    """Top coefficient of ``eval_jet_at(e, seeds, ctx)``; None if ``e`` is affine.
+    """Top coefficient of ``eval_jet_at(e, seeds, ctx)`` for seeds that are 0 there.
 
-    The seeds are univariate of degree p with an exact 0 at degree p, so an
-    affine subtree's top coefficient is an exact 0: it is None here, never
-    swept, and adding or subtracting it would leave the bits unchanged
-    (0 - y is -y exactly).  +, -, unary minus, ^1 and a literal factor or
-    divisor (``_is_literal``) read their operand's top coefficient alone,
-    in ``jet_mul``'s order (a divisor as its one reciprocal).  Every other
-    product, quotient, power and call reads it from its sweep, whose
-    outermost ``jet_mul`` is lazy: that product sums its top coefficient
-    alone, from its operands' jets in full.
+    So an affine subtree's is an exact 0, found without a sweep.  A sum and
+    a literal factor or divisor combine their operands' in ``jet_mul``'s
+    order; every other node reads it from its sweep's lazy product.
     """
     if isinstance(e, (Const, Var)):
-        return None
-    if isinstance(e, Neg):
-        top = eval_top(e.arg, seeds, ctx)
-        return None if top is None else -top
+        return ctx.zero
     if isinstance(e, BinOp):
         if e.op in "+-":
             left, right = eval_top(e.left, seeds, ctx), eval_top(e.right, seeds, ctx)
-            if right is None:
-                return left
-            if left is None:
-                return right if e.op == "+" else -right
             return left + right if e.op == "+" else left - right
-        if e.op == "*" and _is_literal(e.left):
-            top = eval_top(e.right, seeds, ctx)
-            return None if top is None else eval_scalar(e.left, (), ctx) * top
-        if _is_literal(e.right):
+        if e.op == "*" and isinstance(e.left, Const):
+            return ctx.const(e.left.text) * eval_top(e.right, seeds, ctx)
+        if isinstance(e.right, Const):
+            c = ctx.const(e.right.text)
             top = eval_top(e.left, seeds, ctx)
-            if top is None:
-                return None
-            c = eval_scalar(e.right, (), ctx)
             return top * (c if e.op == "*" else univariate_series("recip", c, 0, ctx)[0])
-    if isinstance(e, Power) and e.exponent < 2:
-        return eval_top(e.base, seeds, ctx) if e.exponent else None
     return eval_jet_at(e, seeds, ctx).coeffs[(seeds[0].max_degree,)]
 
 
@@ -477,26 +447,24 @@ def _forward(node, xs, ctx, need):
 
     The value is computed when ``need`` is set, and otherwise may be None.
     A summand inherits its caller's ``need``, and so does the other operand
-    of a literal factor or divisor, since a literal has no partials for
-    that value to multiply.  Every other product operand, every divisor
-    and every call argument is valued.  Every node is still visited, and
-    the values whose checks can fail (divisors, call arguments) are all
-    computed, so every error is raised as with every value computed.
+    of a literal factor or divisor (a ``Const``, signed or not), since a
+    literal has no partials for that value to multiply.  Every other
+    product operand, every divisor and every call argument is valued.
+    Every node is still visited, and the values whose checks can fail
+    (divisors, call arguments) are all computed, so every error is raised
+    as with every value computed.
     """
     if isinstance(node, Const):
         return ctx.const(node.text), {}
     if isinstance(node, Var):
         return xs[node.index], {node.index: ctx.one}
-    if isinstance(node, Neg):
-        a0, ga = _forward(node.arg, xs, ctx, need)
-        return (-a0 if need else None), {i: -ai for i, ai in ga.items()}
     if isinstance(node, BinOp):
         if node.op in "+-":
             op = operator.add if node.op == "+" else operator.sub
             left = _forward(node.left, xs, ctx, need)
             return _grad_sum(left, _forward(node.right, xs, ctx, need), op, need)
-        left_need = need if _is_literal(node.right) else True
-        right_need = need if node.op == "*" and _is_literal(node.left) else True
+        left_need = need if isinstance(node.right, Const) else True
+        right_need = need if node.op == "*" and isinstance(node.left, Const) else True
         left = _forward(node.left, xs, ctx, left_need)
         right = _forward(node.right, xs, ctx, right_need)
         if node.op == "/":
@@ -534,6 +502,7 @@ def eval_partials(e: Expr, xs, ctx: Context) -> dict:
     is taken as it is.  Only the values the partials read are computed: a
     value is read by a product whose other operand is not a literal, by a
     divisor, a powered base and a call's argument.  So the affine summands
-    of an equation give their partials without their values.
+    of an equation, and a negated one (the product with the literal -1),
+    give their partials without their values.
     """
     return _forward(e, xs, ctx, False)[1]

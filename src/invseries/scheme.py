@@ -195,7 +195,7 @@ def build_terms(
             TaylorPoly(ctx, 1, p, dict(zip(keys, (*xs, ctx.zero)))) for xs in zip(*path)
         ]
         c = [within_depth(eval_top, eq, seeds, ctx) for eq in problem.equations]
-        path.append([-x for x in _mat_vec(X0, [v or ctx.zero for v in c])])
+        path.append([-x for x in _mat_vec(X0, c)])
     return [MPVector(xs) for xs in path[1:]]
 
 

@@ -7,7 +7,7 @@ from functools import reduce
 from itertools import product
 
 from invseries.errors import ShapeMismatchError, SingularMatrixError
-from invseries.expr import BinOp, Call, Const, Neg, Power, Var
+from invseries.expr import BinOp, Call, Const, Power, Var
 from invseries.numerics import Context, MPMatrix, MPVector
 from invseries.scheme import (
     apply_update,
@@ -238,14 +238,10 @@ _LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = range(5)
 
 def _fmt(e) -> tuple[str, int]:
     if isinstance(e, Const):
-        return e.text, _LEVEL_ATOM
+        # a signed literal parses as one only where a unary minus may stand
+        return e.text, _LEVEL_UNARY if e.text.startswith("-") else _LEVEL_ATOM
     if isinstance(e, Var):
         return e.name, _LEVEL_ATOM
-    if isinstance(e, Neg):
-        inner, lvl = _fmt(e.arg)
-        if lvl < _LEVEL_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}", _LEVEL_UNARY
     if isinstance(e, BinOp):
         own = _LEVEL_SUM if e.op in "+-" else _LEVEL_TERM
         left, llvl = _fmt(e.left)

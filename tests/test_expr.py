@@ -16,7 +16,6 @@ from invseries.expr import (
     BinOp,
     Call,
     Const,
-    Neg,
     Power,
     Var,
     eval_jet,
@@ -355,7 +354,8 @@ TOP_SEEDS = [
 def test_nonlinear_part_drops_affine_summands(monkeypatch, text, expected):
     """``eval_top`` is bit for bit the top coefficient of the full sweep and
     of the sweep of ``expected``, the expression without its affine
-    summands; an affine expression is None, and no jet is built for it."""
+    summands; an affine expression is an exact 0, and no jet is built for
+    it unless it has a power: ^0 and ^1 are swept like any other."""
     e = parse_expression(text, VARS)
     full = eval_jet_at(e, TOP_SEEDS, CTX).coeffs[(3,)]
     built = []
@@ -371,7 +371,8 @@ def test_nonlinear_part_drops_affine_summands(monkeypatch, text, expected):
     monkeypatch.setattr(expr, "jet_mul", counting(jet_mul))
     top = eval_top(e, TOP_SEEDS, CTX)
     if expected is None:
-        assert top is None and built == [] and full == 0
+        assert top._mpf_ == full._mpf_ == CTX.zero._mpf_
+        assert bool(built) == ("^" in text)
     else:
         part = eval_jet_at(parse_expression(expected, VARS), TOP_SEEDS, CTX)
         assert top._mpf_ == full._mpf_ == part.coeffs[(3,)]._mpf_ and built
@@ -382,6 +383,21 @@ def test_eval_jet_constant_expression():
     jet = eval_jet(e, pt(1, 2), 2, CTX)
     assert jet.value() == CTX.mp.mpf("4.5")
     assert all(c == 0 for a, c in jet.coeffs.items() if sum(a) >= 1)
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("-2", Const("-2")),
+        ("- -2", Const("2")),
+        ("-2^2", BinOp("*", Const("-1"), Power(Const("2"), 2))),
+        ("(-2)^2", Power(Const("-2"), 2)),
+        ("-x1", BinOp("*", Const("-1"), Var(0, "x1"))),
+        ("2*-3", BinOp("*", Const("2"), Const("-3"))),
+    ],
+)
+def test_a_unary_minus_parses_as_a_signed_literal_or_a_product_with_minus_one(text, tree):
+    assert parse_expression(text, VARS) == tree
 
 
 def test_precedence():
@@ -403,13 +419,13 @@ def test_precedence():
 # recursive strategy over ASTs for the print/parse round trip
 _leaf = st.one_of(
     st.sampled_from([Var(0, "x1"), Var(1, "x2")]),
-    st.integers(0, 99).map(lambda n: Const(str(n))),
-    st.sampled_from([Const("1.5"), Const("0.25"), Const("2e3")]),
+    st.integers(-99, 99).map(lambda n: Const(str(n))),
+    st.sampled_from([Const("1.5"), Const("-0.25"), Const("2e3"), Const("-2e-3")]),
 )
 _expr_strategy = st.recursive(
     _leaf,
     lambda inner: st.one_of(
-        st.builds(Neg, inner),
+        st.builds(lambda e: BinOp("*", Const("-1"), e), inner),
         st.builds(
             BinOp, st.sampled_from(["+", "-", "*", "/"]), inner, inner
         ),

@@ -24,6 +24,7 @@ from invseries.expr import (
     Var,
     eval_jet,
     eval_jet_at,
+    eval_partials,
     eval_scalar,
     eval_top,
     parse_expression,
@@ -55,7 +56,7 @@ from invseries.taylor import (
     multi_indices,
 )
 
-from helpers import derivative_tensor, mat_vec, neg_f, tensor_update, update
+from helpers import derivative_tensor, format_expr, mat_vec, neg_f, tensor_update, update
 
 CTX = Context(200)
 TOL = CTX.pow10(-CTX.precision + 15)
@@ -282,8 +283,6 @@ def diff_expr(e, i):
             BinOp("*", Const(str(e.exponent)), Power(e.base, e.exponent - 1)),
             diff_expr(e.base, i),
         )
-    if hasattr(e, "arg"):  # Neg
-        return type(e)(diff_expr(e.arg, i))
     raise NotImplementedError(type(e))
 
 
@@ -414,8 +413,8 @@ def test_path_update_matches_tensor_reference_through_every_node_kind(problem, k
 
 
 # affine summands in every position eval_top prunes (A - N, N - A,
-# a constant factor on either side, a constant divisor, ^0 and ^1), and
-# one affine equation
+# a constant factor on either side, a constant divisor), ^0 and ^1, which
+# it sweeps, and one affine equation
 AFFINE_SUMMANDS = (
     "vars: x1 x2 x3\n"
     "eq: 70*x1 + 3 - x1*x2 + (x1 + 2)^1 - sin(x2)^0 + 2*(x1 - x3^2)\n"
@@ -425,19 +424,43 @@ AFFINE_SUMMANDS = (
 )
 
 
+def path_seeds(problem, p):
+    """The degree-p path sweep's univariate seeds at the start, 0 at the top."""
+    point = problem.start
+    path = [point, *build_terms(problem, point, neg_f(problem, point), p - 1)]
+    keys = multi_indices(1, p)
+    return [TaylorPoly(CTX, 1, p, dict(zip(keys, (*xs, CTX.zero)))) for xs in zip(*path)]
+
+
 @given(problem=node_kind_problems(), p=st.integers(2, 5))
 @example(problem=problem_from(AFFINE_SUMMANDS, CTX), p=5)
 @settings(max_examples=40)
 def test_sweeping_the_nonlinear_part_is_bitwise_the_full_sweep(problem, p):
-    point = problem.start
-    direction = neg_f(problem, point)
-    path = [point, *build_terms(problem, point, direction, p - 1)]
-    keys = multi_indices(1, p)
-    seeds = [TaylorPoly(CTX, 1, p, dict(zip(keys, (*xs, CTX.zero)))) for xs in zip(*path)]
+    seeds = path_seeds(problem, p)
     for eq in problem.equations:
         full = eval_jet_at(eq, seeds, CTX).coeffs[(p,)]
-        mine = eval_top(eq, seeds, CTX) or CTX.zero
+        mine = eval_top(eq, seeds, CTX)
         assert mine._mpf_ == full._mpf_
+
+
+@given(problem=node_kind_problems(), p=st.integers(2, 4))
+@settings(max_examples=30)
+def test_a_unary_minus_is_bitwise_the_negation_in_every_evaluator(problem, p):
+    """-(e) parses as the product with -1, which negates e's bits exactly."""
+    names = {name: i for i, name in enumerate(problem.var_names)}
+    point = problem.start
+    xs = list(point)
+    seeds = path_seeds(problem, p)
+    for eq in problem.equations:
+        neg = parse_expression(f"-({format_expr(eq)})", names)
+        assert neg == BinOp("*", Const("-1"), eq)
+        assert eval_scalar(neg, point, CTX)._mpf_ == (-eval_scalar(eq, point, CTX))._mpf_
+        grad, neg_grad = eval_partials(eq, xs, CTX), eval_partials(neg, xs, CTX)
+        assert neg_grad.keys() == grad.keys()
+        assert _bits(neg_grad.values()) == _bits(-g for g in grad.values())
+        jet, neg_jet = eval_jet_at(eq, seeds, CTX), eval_jet_at(neg, seeds, CTX)
+        assert _bits(neg_jet.coeffs.values()) == _bits(-c for c in jet.coeffs.values())
+        assert eval_top(neg, seeds, CTX)._mpf_ == (-eval_top(eq, seeds, CTX))._mpf_
 
 
 @pytest.mark.parametrize(
@@ -449,7 +472,7 @@ def test_sweeping_the_nonlinear_part_is_bitwise_the_full_sweep(problem, p):
     ],
 )
 def test_pruned_subtrees_still_raise_their_errors(text, error):
-    """The sweeps skip these subtrees; the Jacobian still evaluates them."""
+    """These subtrees add nothing to a sweep; the Jacobian raises their errors first."""
     p = problem_from(text, CTX)
     with pytest.raises(error):
         build_terms(p, p.start, MPVector([CTX.one] * p.nvars), 3)
