@@ -24,7 +24,6 @@ from .expr import eval_jet
 from .numerics import MPVector, format_scalar, norm_inf
 from .scheme import build_terms, check_order, evaluate_system
 from .solver import IterationTrace
-from .taylor import jet_partial
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,9 @@ def error_constant_check(trace: IterationTrace, order: int):
 
     # first dropped coefficient: build one extra term at the root
     a_k = build_terms(problem, root, MPVector([ctx.one]), order)[-1][0]
-    jet = within_depth(eval_jet, problem.equations[0], root, 1, ctx)
-    fprime = within_depth(jet_partial, jet, 0).value()  # reads the lazy jet
+    # f'(root) is the jet's degree-1 coefficient; reading it runs the lazy jet
+    eq = problem.equations[0]
+    fprime = within_depth(lambda: eval_jet(eq, root, 1, ctx).coeffs[(1,)])
     predicted = abs(a_k * fprime**order)
     return measured, predicted
 

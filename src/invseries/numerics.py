@@ -236,7 +236,7 @@ class MPMatrix:
         return self.entries[r][c]
 
     def __repr__(self):
-        return f"MPMatrix({self.rows}x{self.cols})"
+        return f"{type(self).__name__}({self.rows}x{self.cols})"
 
 
 def _lu_factor(m: MPMatrix, ctx: Context):

@@ -55,37 +55,21 @@ def check_order(order: int) -> None:
         )
 
 
-class SeriesMatrix:
-    """Square grid of Taylor polynomials sharing nvars and degree.
+class SeriesMatrix(MPMatrix):
+    """Matrix of Taylor polynomials sharing nvars and degree.
 
     The entries' shapes are not checked here: the first jet operation that
     mixes two of them does that.
     """
 
-    __slots__ = ("entries", "n", "degree", "nvars")
+    __slots__ = ()
 
-    def __init__(self, entries):
-        rows = tuple(tuple(r) for r in entries)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ShapeMismatchError("series matrix must be square")
-        first = rows[0][0]
-        self.entries = rows
-        self.n = n
-        self.degree = first.max_degree
-        self.nvars = first.nvars
-
-    def at(self, i: int, j: int) -> TaylorPoly:
-        return self.entries[i][j]
+    @property
+    def degree(self) -> int:
+        return self.entries[0][0].max_degree
 
     def constant_matrix(self) -> MPMatrix:
-        return MPMatrix(
-            tuple(self.entries[i][j].value() for j in range(self.n))
-            for i in range(self.n)
-        )
-
-    def __repr__(self):
-        return f"SeriesMatrix(n={self.n}, degree={self.degree})"
+        return MPMatrix(tuple(e.value() for e in row) for row in self.entries)
 
 
 def jacobian(problem: Problem, point: MPVector) -> MPMatrix:
@@ -134,17 +118,16 @@ def series_matrix_inverse(J: SeriesMatrix) -> SeriesMatrix:
     """Truncated series X with J·X = I, built order by order.
 
     The constant part is inverted numerically; the homogeneous part of
-    degree q is -X0 · sum over r of (J_r · X_{q-r}).
+    degree q is -X0 · sum over r of (J_r · X_{q-r}).  ``lu_invert``
+    refuses a non-square J.
     """
     ctx = J.at(0, 0).ctx
-    n, d, nvars = J.n, J.degree, J.nvars
+    n, d, nvars = J.rows, J.degree, J.at(0, 0).nvars
     X0_num = lu_invert(J.constant_matrix(), ctx)
     X0 = [
         [jet_constant(ctx, X0_num.at(i, j), nvars, d) for j in range(n)]
         for i in range(n)
     ]
-    if d == 0:
-        return SeriesMatrix(X0)
     j_parts = {
         r: [[J.at(i, j).homogeneous_part(r) for j in range(n)] for i in range(n)]
         for r in range(1, d + 1)

@@ -162,6 +162,12 @@ def test_series_inverse_singular_constant_term():
         series_matrix_inverse(SeriesMatrix(rows))
 
 
+def test_series_inverse_refuses_a_non_square_matrix():
+    rows = [[jet_constant(CTX, 1, 2, 1), jet_constant(CTX, 2, 2, 1)]]
+    with pytest.raises(ShapeMismatchError, match="lu_invert needs a square matrix"):
+        series_matrix_inverse(SeriesMatrix(rows))
+
+
 @given(data=st.data())
 @settings(max_examples=25)
 def test_series_inverse_defining_property(data):
@@ -246,6 +252,19 @@ def test_update_examples_first_iteration(ctx1000, two_var):
         new = update(two_var, two_var.start, k)
         assert new[0] == mp.mpf(text)  # exact binary fraction
         assert new[1] == mp.mpf(text)
+
+
+@pytest.mark.parametrize("digits", [50, 1000])
+def test_order_three_is_chebyshevs_method(digits):
+    """One order-3 step is Chebyshev's x - f/f' - f''f^2/(2f'^3).
+
+    Halley's x - 2ff'/(2f'^2 - ff'') would give 1.5510... on x^2 - 1 from 4
+    and 2/3 on exp(x) - 2 from 0.
+    """
+    ctx = Context(digits)
+    for eq, start, expected in (("x^2 - 1", 4, "1.685546875"), ("exp(x) - 2", 0, "0.5")):
+        p = problem_from(f"vars: x\neq: {eq}\nstart: {start}\n", ctx)
+        assert update(p, p.start, 3)[0] == ctx.mp.mpf(expected)  # exact binary fraction
 
 
 def test_update_fixed_point():
