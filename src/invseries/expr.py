@@ -57,34 +57,67 @@ RESERVED_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
-@dataclass(frozen=True)
-class Const:
-    text: str
+class _Node:
+    """An AST node, never changed once built.  It equals a node of its own
+    class whose fields are equal, and its hash and repr are those of a
+    frozen dataclass with the fields in ``__slots__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
-    name: str
+class Const(_Node):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+class Var(_Node):
+    __slots__ = ("index", "name")
+
+    def __init__(self, index: int, name: str):
+        self.index = index
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "Expr"
-    exponent: int
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        self.op = op  # one of + - * /
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class Power(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Expr", exponent: int):
+        self.base = base
+        self.exponent = exponent
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: "Expr"):
+        self.fn = fn
+        self.arg = arg
 
 
 Expr = Union[Const, Var, BinOp, Power, Call]
@@ -116,86 +149,86 @@ _TOKEN_RE = re.compile(
 # the token after the last one
 _END = ("", "", "", "")
 
-# binding power of the binary operators; any other token ends a chain
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 def _found(token) -> str:
     return "end of expression" if token is _END else repr("".join(token))
 
 
-class _ExprParser:
-    """Precedence climbing over ``_TOKEN_RE`` tokens that end in ``_END``."""
+# Each parser function takes the ``_TOKEN_RE`` tokens, which end in
+# ``_END``, and the position to start at, and returns a node and the
+# position after it.  A chain is built left to right in a loop, so a factor
+# costs one frame and a level of parentheses three: _sum, _product, _factor.
 
-    def __init__(self, tokens, var_indices, line):
-        self.tokens = tokens
-        self.var_indices = var_indices
-        self.line = line
-        self.pos = 0
 
-    def binary(self, level: int = 1) -> Expr:
-        """A left-associative chain of the operators that bind at ``level`` or tighter."""
-        e = self.unary()
-        while True:
-            op = self.tokens[self.pos][2]
-            binding = _PRECEDENCE.get(op, 0)
-            if binding < level:
-                return e
-            self.pos += 1
-            e = BinOp(op, e, self.binary(binding + 1))
+def _sum(tokens, pos, var_indices, line):
+    """A ``+``/``-`` chain of products."""
+    e, pos = _product(tokens, pos, var_indices, line)
+    op = tokens[pos][2]
+    while op == "+" or op == "-":
+        right, pos = _product(tokens, pos + 1, var_indices, line)
+        e = BinOp(op, e, right)
+        op = tokens[pos][2]
+    return e, pos
 
-    def unary(self) -> Expr:
-        """Signs, then an atom, then an optional ``^`` and its exponent."""
-        token = self.tokens[self.pos]
-        self.pos += 1
-        num, name, op, _ = token
-        if num:
-            e = Const(num)
-        elif name:
-            if self.tokens[self.pos][2] == "(":
-                if name not in RESERVED_FUNCTIONS:
-                    raise ParseError(f"unknown function {name!r}", self.line)
-                self.pos += 1
-                e = Call(name, self.closed())
-            elif name in self.var_indices:
-                e = Var(self.var_indices[name], name)
-            elif name in RESERVED_FUNCTIONS:
-                raise ParseError(f"{name!r} is a function and needs parentheses", self.line)
-            else:
-                raise UnknownVariableError(f"unknown variable {name!r}", self.line)
-        elif op == "(":
-            e = self.closed()
-        elif op == "-":
-            e = self.unary()
-            if isinstance(e, Const):
-                return Const(e.text[1:] if e.text[0] == "-" else "-" + e.text)
-            return BinOp("*", Const("-1"), e)
-        elif op == "+":
-            return self.unary()
+
+def _product(tokens, pos, var_indices, line):
+    """A ``*``/``/`` chain of factors."""
+    e, pos = _factor(tokens, pos, var_indices, line)
+    op = tokens[pos][2]
+    while op == "*" or op == "/":
+        right, pos = _factor(tokens, pos + 1, var_indices, line)
+        e = BinOp(op, e, right)
+        op = tokens[pos][2]
+    return e, pos
+
+
+def _factor(tokens, pos, var_indices, line):
+    """Signs, then an atom, then an optional ``^`` and its exponent."""
+    token = tokens[pos]
+    pos += 1
+    num, name, op, _ = token
+    if num:
+        e = Const(num)
+    elif name and tokens[pos][2] != "(":
+        if name in var_indices:
+            e = Var(var_indices[name], name)
+        elif name in RESERVED_FUNCTIONS:
+            raise ParseError(f"{name!r} is a function and needs parentheses", line)
         else:
-            what = "end of expression" if token is _END else f"token {op!r}"
-            raise ParseError(f"unexpected {what}", self.line)
-        if self.tokens[self.pos][2] != "^":
-            return e
-        exponent = self.tokens[self.pos + 1]
-        self.pos += 2
-        if not exponent[0].isdigit():
-            raise ParseError(
-                f"exponent must be a non-negative integer literal, found {_found(exponent)}",
-                self.line,
-            )
-        if self.tokens[self.pos][2] == "^":
-            raise ParseError("chained '^' needs parentheses", self.line)
-        return Power(e, int(exponent[0]))
-
-    def closed(self) -> Expr:
-        """An expression and the ``)`` after it."""
-        e = self.binary()
-        token = self.tokens[self.pos]
-        if token[2] != ")":
-            raise ParseError(f"expected ')', found {_found(token)}", self.line)
-        self.pos += 1
-        return e
+            raise UnknownVariableError(f"unknown variable {name!r}", line)
+    elif name or op == "(":
+        if name:
+            if name not in RESERVED_FUNCTIONS:
+                raise ParseError(f"unknown function {name!r}", line)
+            pos += 1
+        e, pos = _sum(tokens, pos, var_indices, line)
+        if tokens[pos][2] != ")":
+            raise ParseError(f"expected ')', found {_found(tokens[pos])}", line)
+        pos += 1
+        if name:
+            e = Call(name, e)
+    elif op == "-":
+        e, pos = _factor(tokens, pos, var_indices, line)
+        if isinstance(e, Const):
+            return Const(e.text[1:] if e.text[0] == "-" else "-" + e.text), pos
+        return BinOp("*", Const("-1"), e), pos
+    elif op == "+":
+        return _factor(tokens, pos, var_indices, line)
+    else:
+        what = "end of expression" if token is _END else f"token {op!r}"
+        raise ParseError(f"unexpected {what}", line)
+    if tokens[pos][2] != "^":
+        return e, pos
+    exponent = tokens[pos + 1]
+    pos += 2
+    if not exponent[0].isdigit():
+        raise ParseError(
+            f"exponent must be a non-negative integer literal, found {_found(exponent)}",
+            line,
+        )
+    if tokens[pos][2] == "^":
+        raise ParseError("chained '^' needs parentheses", line)
+    return Power(e, int(exponent[0])), pos
 
 
 def parse_expression(text: str, var_indices: dict, line: int = 0) -> Expr:
@@ -206,13 +239,12 @@ def parse_expression(text: str, var_indices: dict, line: int = 0) -> Expr:
     if bad:
         raise ParseError(f"unexpected character {bad[0]!r}", line)
     tokens.append(_END)
-    parser = _ExprParser(tokens, var_indices, line)
     try:
-        e = parser.binary()
+        e, pos = _sum(tokens, 0, var_indices, line)
     except RecursionError:
         raise ParseError("expression nests too deeply", line) from None
-    if tokens[parser.pos] is not _END:
-        raise ParseError(f"trailing input starting at {_found(tokens[parser.pos])}", line)
+    if tokens[pos] is not _END:
+        raise ParseError(f"trailing input starting at {_found(tokens[pos])}", line)
     return e
 
 

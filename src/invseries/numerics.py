@@ -60,7 +60,7 @@ class Context:
     precision of every live Context of that precision (a test greps
     ``src/`` for such uses).  Two Contexts of one precision are still
     distinct: jets refuse to mix them.  Values are immutable after
-    construction and safe to hand between threads; ``const``,
+    construction and safe to hand between threads; ``const``, ``pow10``,
     ``elementary`` and the lazy coefficients of a ``jet_mul`` product only
     memoize, so two threads that race on one entry both store the same
     value.  ``elementary`` keeps each Context's own memo, so two Contexts
@@ -82,6 +82,7 @@ class Context:
         # zero threshold of an LU pivot, relative to the pivot's row
         self.tiny = mp.mpf(10) ** (-precision / 2)
         self._consts = {}
+        self._pow10 = {}
         self._elementary = {}
 
     def const(self, text: str):
@@ -111,7 +112,11 @@ class Context:
         return value
 
     def pow10(self, exponent: int):
-        return self.mp.mpf(10) ** exponent
+        """10^exponent at working precision, computed once per exponent."""
+        value = self._pow10.get(exponent)
+        if value is None:
+            value = self._pow10[exponent] = self.mp.mpf(10) ** exponent
+        return value
 
     def __repr__(self):
         return f"Context(precision={self.precision})"

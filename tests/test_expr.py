@@ -400,6 +400,50 @@ def test_a_unary_minus_parses_as_a_signed_literal_or_a_product_with_minus_one(te
     assert parse_expression(text, VARS) == tree
 
 
+SHAPE_VARS = {name: i for i, name in enumerate("abcde")}
+A, B, C, D, E = (Var(i, name) for name, i in SHAPE_VARS.items())
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("a - b - c", BinOp("-", BinOp("-", A, B), C)),
+        ("a / b * c", BinOp("*", BinOp("/", A, B), C)),
+        ("a + b*c - d/e", BinOp("-", BinOp("+", A, BinOp("*", B, C)), BinOp("/", D, E))),
+        ("-a*b", BinOp("*", BinOp("*", Const("-1"), A), B)),
+        ("-a^2", BinOp("*", Const("-1"), Power(A, 2))),
+        ("(a)", A),
+        ("sin(a)^2", Power(Call("sin", A), 2)),
+    ],
+)
+def test_parse_shapes(text, tree):
+    """``^`` binds tightest, then a sign, then ``* /``, then ``+ -``; each
+    binary chain associates to the left.  (``2*-3`` is a case of the
+    unary-minus test above.)"""
+    assert parse_expression(text, SHAPE_VARS) == tree
+
+
+def test_nodes_are_equal_by_class_and_fields():
+    text = "x1 + 2*x2^3 - sin(x1)/4"
+    first, second = parse_expression(text, VARS), parse_expression(text, VARS)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    # a frozen dataclass's hash: that of its fields as a tuple
+    assert hash(Var(0, "x1")) == hash((0, "x1"))
+    # equal fields, different classes
+    assert Var(0, "x1") != Call(0, "x1")
+    assert Power(A, 2) != Call(A, 2)
+    assert Const("2") != "2" and Const("2") != ("2",)
+
+
+def test_node_repr_is_the_dataclass_text():
+    assert repr(parse_expression("x1 + 2*x2^3", VARS)) == (
+        "BinOp(op='+', left=Var(index=0, name='x1'), right=BinOp(op='*', "
+        "left=Const(text='2'), right=Power(base=Var(index=1, name='x2'), exponent=3)))"
+    )
+
+
 def test_precedence():
     cases = [
         ("x1 - x2 - x1", pt(1, 2), -2),  # left associative

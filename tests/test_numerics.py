@@ -54,6 +54,13 @@ def test_tiny_exponent_literal(ctx1000):
     assert v == ctx1000.pow10(-909)
 
 
+def test_pow10_is_computed_once_per_exponent():
+    ctx = Context(50)
+    first = ctx.pow10(-48)
+    assert first == ctx.mp.mpf(10) ** -48
+    assert ctx.pow10(-48) is first
+
+
 @pytest.mark.parametrize(
     "bad", ["", "abc", "1..2", "1e", "--3", "0x10", "1e+", "2.5.3", "nan", "inf"]
 )

@@ -4,7 +4,8 @@ Each digest covers the exact ``_mpf_`` tuples of every iterate, step,
 step norm, residual norm and root distance, and the final status.  The
 digests were recorded from the schoolbook jet kernel, so a change that
 drops a nonzero term from a sum, or reorders one, fails here even when
-the iterates still agree to many digits.
+the iterates still agree to many digits.  ``AST_DIGESTS`` pins the trees
+these problems parse to.
 """
 
 import hashlib
@@ -60,6 +61,19 @@ DIGESTS = {
 }
 
 
+# sha256 of repr(problem.equations), recorded when the nodes were frozen
+# dataclasses and the parser climbed precedence: the trees are pinned node
+# for node, field order and repr text included
+AST_DIGESTS = {
+    "affine-3": "6653414f54961905a89ee2dfb9926bc842585d854eaaf5483ec1d3647e3f85be",
+    "incas-2var": "2f494a74cc0213b59a261fb7662346269d15b2e85409b743a62a590b08bb5cd4",
+    "incas-3var": "9a41d5dbe56875c492729258441b73fa642211ce2ca0c9f0a9541fb799618b54",
+    "mixed-3": "e75bdaed015370932d1d0de5fabc739d320dc422693e22f03549f6561175a2f8",
+    "scalar-square": "ddb59b6a845821ec8febb5066178a91e582d0a841b0e9b27aa6741d7fc4c8fa0",
+    "synthetic-8": "e7a7751d4d23dff0a4f875984a57e0d19c79ee971d25b1c4ed97dc1128acc576",
+}
+
+
 def _bits(value):
     if value is None:
         return None
@@ -89,3 +103,9 @@ def test_trace_bits_are_pinned(name, precision, order):
     ctx = Context(precision)
     trace = solve(_problem(name, ctx), SolveConfig(order, precision))
     assert trace_digest(trace) == DIGESTS[(name, precision, order)]
+
+
+@pytest.mark.parametrize("name", sorted(AST_DIGESTS))
+def test_parsed_trees_are_pinned(name):
+    equations = _problem(name, Context(60)).equations
+    assert hashlib.sha256(repr(equations).encode()).hexdigest() == AST_DIGESTS[name]
