@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     UnknownVariableError,
 )
-from .numerics import Context, MPVector, scalar_from_decimal
+from .numerics import Context, MPVector
 from .taylor import (
     TaylorPoly,
     binary_power,
@@ -46,7 +46,6 @@ from .taylor import (
     jet_compose_univariate,
     jet_constant,
     jet_mul,
-    jet_pow_int,
     jet_sub,
     jet_var,
     univariate_series,
@@ -260,7 +259,7 @@ def _split_values(rest: str, expected: int, what: str, ctx: Context, line: int):
     out = []
     for p in parts:
         try:
-            out.append(scalar_from_decimal(p, ctx))
+            out.append(ctx.const(p))
         except MalformedDecimalError as exc:
             raise ParseError(str(exc), line) from exc
     return MPVector(out)
@@ -390,7 +389,11 @@ def eval_jet_at(e: Expr, seeds, ctx: Context) -> TaylorPoly:
             return jet_mul(left, right)
         return jet_mul(left, jet_compose_univariate("recip", right))
     if isinstance(e, Power):
-        return jet_pow_int(eval_jet_at(e.base, seeds, ctx), e.exponent)
+        # ^0 reads nothing of its base but still evaluates it, for its errors
+        base = eval_jet_at(e.base, seeds, ctx)
+        if e.exponent == 0:
+            return jet_constant(ctx, ctx.one, base.nvars, base.max_degree)
+        return binary_power(base, e.exponent, jet_mul)
     if isinstance(e, Call):
         return jet_compose_univariate(e.fn, eval_jet_at(e.arg, seeds, ctx))
     raise TypeError(f"not an expression node: {e!r}")

@@ -81,10 +81,9 @@ def jacobian(problem: Problem, point: MPVector) -> MPMatrix:
     what ``eval_jet`` raises at the point.
     """
     ctx = problem.context
-    xs = [ctx.mp.mpf(x) for x in point]
     rows = []
     for eq in problem.equations:
-        grad = within_depth(eval_partials, eq, xs, ctx)
+        grad = within_depth(eval_partials, eq, point, ctx)
         rows.append([grad.get(i, ctx.zero) for i in range(problem.nvars)])
     return MPMatrix(rows)
 

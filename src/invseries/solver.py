@@ -23,7 +23,6 @@ from .numerics import (
     decimal_mpf,
     is_int,
     norm_inf,
-    scalar_from_decimal,
 )
 from .scheme import apply_update, build_terms, check_order, evaluate_system
 
@@ -46,7 +45,7 @@ class SolveConfig:
     ``order`` must be an int in 2..``MAX_ORDER``, ``precision`` one that
     ``Context`` accepts and ``max_iters`` an int >= 1 (``is_int``: a bool
     is none of them).  ``tol``, positive decimal text parsed by
-    ``scalar_from_decimal`` (so "1e-900" stays positive), stops the
+    ``Context.const`` (so "1e-900" stays positive), stops the
     iteration once the step max-norm falls to or below it; None selects
     10^-(precision - min(50, precision // 2)), so the default never exceeds
     10^-(precision // 2).  Divergence is declared once ``DIVERGENCE_WINDOW``
@@ -116,7 +115,7 @@ def resolve_tol(config: SolveConfig, ctx):
     if config.tol is None:
         guard = min(50, config.precision // 2)
         return ctx.pow10(-(config.precision - guard))
-    return scalar_from_decimal(config.tol, ctx)
+    return ctx.const(config.tol)
 
 
 def solve(problem: Problem, config: SolveConfig) -> IterationTrace:

@@ -6,7 +6,8 @@ point up to a total degree, using the coefficient convention
 multiplication is a plain truncated convolution.  Propagating jets through
 an expression yields exact derivatives of any order, which is what feeds
 the scheme builder.  ``univariate_series`` (elementary functions and the
-reciprocal) and ``binary_power`` serve every evaluator in ``expr``.
+reciprocal) serves every evaluator in ``expr``; ``binary_power`` raises
+the powers of jets and of forward mode, each under its own product.
 
 ``jet_mul`` is lazy: its product sums each coefficient when it is first
 read, so a path sweep, which reads one coefficient of its outermost
@@ -283,15 +284,6 @@ def binary_power(a, n: int, mul):
     return result
 
 
-def jet_pow_int(a: TaylorPoly, exponent: int) -> TaylorPoly:
-    """Non-negative integer power: ``binary_power`` under ``jet_mul``."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise DomainError(f"integer power needs a non-negative exponent, got {exponent}")
-    if exponent == 0:
-        return jet_constant(a.ctx, a.ctx.one, a.nvars, a.max_degree)
-    return binary_power(a, exponent, jet_mul)
-
-
 def checked_divisor(c):
     """``c``; the zero check of every division, here and in ``expr``."""
     if c == 0:
@@ -355,7 +347,7 @@ def jet_compose_univariate(fn: str, a: TaylorPoly) -> TaylorPoly:
     or a sweep from a point whose residual is exactly 0) leaves every term
     of degree >= 1 an exact 0, so its series is built to degree 0 alone: a
     literal divisor costs one division.  Integer powers are not series
-    compositions; they go through :func:`jet_pow_int`.
+    compositions: the jet evaluator raises them by ``binary_power``.
     """
     degree = a.max_degree if any(islice(a.coeffs.values(), 1, None)) else 0
     return _compose_series(univariate_series(fn, a.value(), degree, a.ctx), a)

@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,39 @@ def test_parse_problem_basics():
     assert p.start[0] == 4 and p.start[1] == 4
     assert len(p.known_roots) == 2
     assert p.known_roots[1][0] == -1
+
+
+def _mpmath_bits(ctx, text):
+    """``ctx.mp.mpf(text)``'s bits; mpmath reads the digits by one ``int(str)``,
+    so the interpreter's digit limit, if it has one, is lifted meanwhile."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return ctx.mp.mpf(text)._mpf_
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return ctx.mp.mpf(text)._mpf_
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_start_and_root_values_are_the_literals_bits():
+    """Start and root entries are ``ctx.mp.mpf(text)`` bit for bit, and the
+    very object a literal of the same text in an equation evaluates to."""
+    ctx = Context(300)
+    long_text = "0." + "3" * 4400  # beyond the interpreter's 4,300-digit int(str) limit
+    far, farther = "1.7e-450", "2.5e401"  # beyond mpmath's ±400 exponent branch
+    p = parse_problem(
+        f"vars: x y\neq: x - {long_text}\neq: {far}*y - 1\n"
+        f"start: {long_text} {far}\nroot: {far} {farther}\n",
+        ctx,
+    )
+    texts = (long_text, far, far, farther)
+    values = (*p.start, *p.known_roots[0])
+    assert [v._mpf_ for v in values] == [_mpmath_bits(ctx, t) for t in texts]
+    literals = (p.equations[0].right, p.equations[1].left.left)
+    assert [c.text for c in literals] == [long_text, far]
+    assert ctx.const(literals[0].text) is p.start[0]
+    assert ctx.const(literals[1].text) is p.start[1] is p.known_roots[0][0]
 
 
 def test_non_square_system():

@@ -21,10 +21,10 @@ from invseries.numerics import (
     Context,
     MPMatrix,
     MPVector,
+    decimal_mpf,
     format_scalar,
     lu_invert,
     norm_inf,
-    scalar_from_decimal,
 )
 
 from helpers import (
@@ -40,16 +40,16 @@ CTX = Context(60)
 
 
 def test_integer_literal_is_exact(ctx1000):
-    assert scalar_from_decimal("4", ctx1000) == 4
+    assert ctx1000.const("4") == 4
 
 
 def test_finite_binary_fraction_is_exact():
     ctx = Context(50)
-    assert scalar_from_decimal("2.125", ctx) == ctx.mp.mpf(17) / 8
+    assert ctx.const("2.125") == ctx.mp.mpf(17) / 8
 
 
 def test_tiny_exponent_literal(ctx1000):
-    v = scalar_from_decimal("1e-909", ctx1000)
+    v = ctx1000.const("1e-909")
     assert v > 0
     assert v == ctx1000.pow10(-909)
 
@@ -66,12 +66,12 @@ def test_pow10_is_computed_once_per_exponent():
 )
 def test_malformed_literals_rejected(bad):
     with pytest.raises(MalformedDecimalError):
-        scalar_from_decimal(bad, CTX)
+        CTX.const(bad)
 
 
 def test_signed_and_exponent_forms_accepted():
     for ok in ["+1", "-2.5", ".5", "3.", "1e5", "1E-5", "-0.25e+3"]:
-        scalar_from_decimal(ok, CTX)
+        CTX.const(ok)
 
 
 def test_contexts_of_one_precision_share_mpmath_but_stay_distinct():
@@ -128,11 +128,11 @@ def test_context_refuses_a_precision_that_is_not_an_int(precision):
 def test_decimal_round_trip(sign, digits, frac, exponent):
     """Printing with guard digits and re-parsing restores the binary value."""
     text = f"{sign}{digits}.{frac}e{exponent}"
-    v = scalar_from_decimal(text, CTX)
+    v = CTX.const(text)
     if v == 0:
         assert format_scalar(v, 10) == "0"
         return
-    reparsed = scalar_from_decimal(format_scalar(v, CTX.precision + 10), CTX)
+    reparsed = CTX.const(format_scalar(v, CTX.precision + 10))
     assert reparsed == v
 
 
@@ -141,10 +141,10 @@ def test_decimal_round_trip(sign, digits, frac, exponent):
 )
 def test_decimal_reprint_last_place(digits):
     """A short literal reprints to the same digits up to last-place truncation."""
-    v = scalar_from_decimal(f"0.{digits}", CTX)
+    v = CTX.const(f"0.{digits}")
     printed = format_scalar(v, len(digits))
-    w = scalar_from_decimal(printed, CTX)
-    ulp = scalar_from_decimal(f"1e-{len(digits)}", CTX)
+    w = CTX.const(printed)
+    ulp = CTX.const(f"1e-{len(digits)}")
     assert abs(w - v) <= ulp * (1 + CTX.pow10(-30))
 
 
@@ -205,10 +205,10 @@ def test_format_renders_a_huge_exponent_quickly():
     # the exact integers of 1e±100000000 have about 3.3e8 bits: rendering them
     # took minutes, bounding the digits takes well under a millisecond
     code = (
-        "from invseries.numerics import Context, format_scalar, scalar_from_decimal\n"
+        "from invseries.numerics import Context, format_scalar\n"
         "ctx = Context(50)\n"
         "for text in ('1e100000000', '1e-100000000'):\n"
-        "    print(format_scalar(scalar_from_decimal(text, ctx), 10))\n"
+        "    print(format_scalar(ctx.const(text), 10))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(invseries.__file__).parents[1]))
     done = subprocess.run(
@@ -280,27 +280,29 @@ def test_parse_has_mpmath_bits(precision, sign, whole, frac, exponent, marker):
     if exponent is not None:
         text += f"{marker}{exponent:+d}" if exponent % 2 else f"{marker}{exponent}"
     ctx = PARSE_CONTEXTS[precision]
-    assert scalar_from_decimal(text, ctx)._mpf_ == ctx.mp.mpf(text)._mpf_
+    assert ctx.const(text)._mpf_ == ctx.mp.mpf(text)._mpf_
 
 
 @pytest.mark.parametrize("text", [".0", "-.000e5", "0.", "+.0e-7", "-0"])
 def test_parse_reads_a_zero_with_no_integer_digits(text):
     # mpmath's own parser fails on these with int('')
-    assert scalar_from_decimal(text, CTX)._mpf_ == CTX.zero._mpf_
+    assert CTX.const(text)._mpf_ == CTX.zero._mpf_
 
 
 def test_parse_reads_a_literal_beyond_the_int_digit_limit():
     ctx = Context(5000)
     text = "0." + "3" * 5000
     third = ctx.one / 3
-    assert abs(scalar_from_decimal(text, ctx) - third) <= ctx.pow10(-5000)
-    assert scalar_from_decimal(text + "e+0", ctx) == scalar_from_decimal(text, ctx)
+    assert abs(ctx.const(text) - third) <= ctx.pow10(-5000)
+    assert ctx.const(text + "e+0") == ctx.const(text)
 
 
 def test_const_goes_through_the_decimal_parser():
     ctx = Context(60)
     assert ctx.const(".0") == 0
-    assert ctx.const("1e-450")._mpf_ == scalar_from_decimal("1e-450", ctx)._mpf_
+    value = ctx.const("1e-450")
+    assert value._mpf_ == decimal_mpf("1e-450", ctx.mp.prec)
+    assert ctx.const("1e-450") is value
 
 
 def test_lu_invert_identity(ctx1000):
@@ -527,7 +529,7 @@ def test_precision_doubling_consistency():
     p = 100
     hi_ctx = Context(2 * p)
     lo, hi = chain(Context(p)), chain(hi_ctx)
-    lo_in_hi = scalar_from_decimal(format_scalar(lo, p + 10), hi_ctx)
+    lo_in_hi = hi_ctx.const(format_scalar(lo, p + 10))
     assert abs(lo_in_hi - hi) < hi_ctx.pow10(-(p - 5))
 
 

@@ -8,7 +8,7 @@ from invseries import solver
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.errors import IterationError
-from invseries.numerics import Context, MPVector, format_scalar, norm_inf, scalar_from_decimal
+from invseries.numerics import Context, MPVector, decimal_mpf, format_scalar, norm_inf
 from invseries.scheme import evaluate_system
 from invseries.solver import SolveConfig, Status, solve
 
@@ -30,7 +30,7 @@ def test_text_tol_goes_through_the_decimal_parser():
     ctx = Context(60)
     for text in (".5e-3", "1e-450", "0.0" + "7" * 5000):
         config = SolveConfig(order=2, precision=60, tol=text)
-        assert solver.resolve_tol(config, ctx)._mpf_ == scalar_from_decimal(text, ctx)._mpf_
+        assert solver.resolve_tol(config, ctx)._mpf_ == decimal_mpf(text, ctx.mp.prec)
     for number in (0.1, 1, ctx.mp.mpf("0.1")):  # a number is refused, not converted
         with pytest.raises(ValueError, match="tol must be decimal text, got "):
             SolveConfig(order=2, precision=60, tol=number)

@@ -11,17 +11,17 @@ from invseries.errors import (
     DomainError,
     ShapeMismatchError,
 )
-from invseries.expr import RESERVED_FUNCTIONS, eval_jet, parse_expression
+from invseries.expr import RESERVED_FUNCTIONS, Power, eval_jet, eval_jet_at, parse_expression
 from invseries.numerics import Context, MPVector
 from invseries.taylor import (
     TaylorPoly,
+    binary_power,
     jet_add,
     jet_compose_univariate,
     jet_constant,
     jet_mul,
     jet_neg,
     jet_partial,
-    jet_pow_int,
     jet_sub,
     jet_var,
     multi_indices,
@@ -293,7 +293,7 @@ def test_pow_int_is_bitwise_the_powering_from_one():
     x = jet_var(CTX, 0, CTX.mp.mpf("1.5"), 2, 4)
     y = jet_add(x, jet_var(CTX, 1, CTX.mp.mpf("0.3"), 2, 4))
     for base in (x, jet_mul(x, y)):
-        for exponent in range(7):
+        for exponent in range(1, 7):
             ref, square, e = jet_constant(CTX, 1, 2, 4), base, exponent
             while e:
                 if e & 1:
@@ -301,8 +301,8 @@ def test_pow_int_is_bitwise_the_powering_from_one():
                 e >>= 1
                 if e:
                     square = schoolbook_jet_mul(square, square)
-            assert _bits(jet_pow_int(base, exponent)) == _bits(ref)
-    assert jet_pow_int(x, 1) is x
+            assert _bits(binary_power(base, exponent, jet_mul)) == _bits(ref)
+    assert binary_power(x, 1, jet_mul) is x
 
 
 def _schoolbook_compose(series, a):
@@ -380,11 +380,18 @@ def test_compose_domain_errors():
 
 def test_pow_int_matches_repeated_mul():
     x = jet_var(CTX, 0, CTX.mp.mpf("1.5"), 2, 3)
-    cube = jet_pow_int(x, 3)
+    cube = binary_power(x, 3, jet_mul)
     assert max_coeff_diff(cube, jet_mul(jet_mul(x, x), x)) < TOL
-    assert jet_pow_int(x, 0).value() == 1
-    with pytest.raises(DomainError):
-        jet_pow_int(x, -1)
+
+
+def test_zeroth_power_is_the_constant_jet_one_after_its_base():
+    """``^0`` reads nothing of its base, but a fault inside the base still raises."""
+    seeds = [jet_var(CTX, i, CTX.mp.mpf(v), 2, 3) for i, v in enumerate(("1.5", "0.3"))]
+    names = {"x1": 0, "x2": 1}
+    zeroth = eval_jet_at(Power(parse_expression("x1*x2 + exp(x2)", names), 0), seeds, CTX)
+    assert _bits(zeroth) == _bits(jet_constant(CTX, CTX.one, 2, 3))
+    with pytest.raises(DomainError, match="log of a non-positive value"):
+        eval_jet_at(Power(parse_expression("x1 + log(-x2)", names), 0), seeds, CTX)
 
 
 def test_exp_of_sum_factors():
@@ -464,7 +471,7 @@ def test_ad_matches_central_differences():
     x1 = jet_var(ctx, 1, point[1], 2, 1)
     jet = jet_add(
         jet_mul(jet_compose_univariate("exp", x0), jet_compose_univariate("sin", x1)),
-        jet_pow_int(x0, 3),
+        binary_power(x0, 3, jet_mul),
     )
     grad = derivative_tensor(jet, 1)
     h = ctx.pow10(-50)
@@ -503,7 +510,7 @@ def test_every_producer_builds_the_full_index_table(nvars, degree, data):
         jet_neg(a),
         jet_mul(a, b),
         jet_compose_univariate("recip", a),
-        jet_pow_int(a, 3),
+        binary_power(a, 3, jet_mul),
         *(jet_compose_univariate(fn, a) for fn in RESERVED_FUNCTIONS),
         jet_partial(a, i),
         truncated(a, data.draw(st.integers(0, degree))),
