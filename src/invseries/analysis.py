@@ -28,7 +28,9 @@ from .solver import IterationTrace
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    method: str  # "known-root" or "successive-steps"
+    """One estimator's per-iteration orders, their median and its anchors;
+    which estimator made it is the function that returned it."""
+
     estimates: tuple  # (iteration, p_hat) pairs
     summary: float
     window: tuple  # anchor iteration indices
@@ -104,7 +106,7 @@ def estimate_order_known_root(trace: IterationTrace) -> OrderEstimate:
     if not estimates:
         raise InsufficientDataError("no anchor has a usable successor error")
     summary = statistics.median(p for _, p in estimates)
-    return OrderEstimate("known-root", tuple(estimates), summary, tuple(anchors))
+    return OrderEstimate(tuple(estimates), summary, tuple(anchors))
 
 
 def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
@@ -126,7 +128,7 @@ def estimate_order_successive(trace: IterationTrace) -> OrderEstimate:
     if not estimates:
         raise InsufficientDataError("no step triple inside the usable window")
     summary = statistics.median(p for _, p in estimates)
-    return OrderEstimate("successive-steps", tuple(estimates), summary, tuple(anchors))
+    return OrderEstimate(tuple(estimates), summary, tuple(anchors))
 
 
 def error_constant_check(trace: IterationTrace, order: int):

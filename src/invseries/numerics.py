@@ -59,12 +59,14 @@ class Context:
     or enter its ``workdps``/``workprec``, since that would change the
     precision of every live Context of that precision (a test greps
     ``src/`` for such uses).  Two Contexts of one precision are still
-    distinct: jets refuse to mix them.  Values are immutable after
-    construction and safe to hand between threads; ``const``, ``pow10``,
-    ``elementary`` and the lazy coefficients of a ``jet_mul`` product only
-    memoize, so two threads that race on one entry both store the same
-    value.  ``elementary`` keeps each Context's own memo, so two Contexts
-    of one precision share no entries.
+    distinct: jets refuse to mix them.  A Context stores no threshold of
+    its own: each power of ten, the LU pivot floor included, comes from
+    ``pow10``.  Values are immutable after construction and safe to hand
+    between threads; ``const``, ``pow10``, ``elementary`` and the lazy
+    coefficients of a ``jet_mul`` product only memoize, so two threads
+    that race on one entry both store the same value.  ``elementary``
+    keeps each Context's own memo, so two Contexts of one precision share
+    no entries.
     """
 
     def __init__(self, precision: int = DEFAULT_PRECISION):
@@ -79,8 +81,6 @@ class Context:
         self.mp = mp
         self.zero = mp.mpf(0)
         self.one = mp.mpf(1)
-        # zero threshold of an LU pivot, relative to the pivot's row
-        self.tiny = mp.mpf(10) ** (-precision / 2)
         self._consts = {}
         self._pow10 = {}
         self._elementary = {}
@@ -240,24 +240,24 @@ class MPMatrix:
 def _lu_factor(m: MPMatrix, ctx: Context):
     """LU with partial pivoting; returns (packed LU rows, permutation).
 
-    A pivot counts as zero at or below ``ctx.tiny`` times the largest entry
-    of its row in ``m``, and is the largest entry among the rows that clear
-    that floor, so scaling an equation moves its floor with it.
+    A pivot counts as zero at or below 10^-d times the largest entry of its
+    row in ``m``, with d = ⌈precision/2⌉ (``Context.pow10``; the error names
+    10^-d), and is the largest entry among the rows that clear that floor,
+    so scaling an equation moves its floor with it.
     """
     n = m.rows
     lu = [list(row) for row in m.entries]
     perm = list(range(n))
-    floors = [ctx.tiny * max(abs(e) for e in row) for row in lu]
+    d = (ctx.precision + 1) // 2
+    tiny = ctx.pow10(-d)
+    floors = [tiny * max(abs(e) for e in row) for row in lu]
     for col in range(n):
         # sizes[i] belongs to row col + i: the rows still to be pivoted
         sizes = [abs(lu[r][col]) for r in range(col, n)]
         best = max(range(n - col), key=lambda i: (sizes[i] > floors[col + i], sizes[i]))
         pivot_row = col + best
         if sizes[best] <= floors[pivot_row]:
-            half = f"{ctx.precision // 2}{'.5' if ctx.precision % 2 else ''}"
-            raise SingularMatrixError(
-                f"column {col} pivot below 10^-{half} of its row's scale"
-            )
+            raise SingularMatrixError(f"column {col} pivot below 10^-{d} of its row's scale")
         if pivot_row != col:
             lu[col], lu[pivot_row] = lu[pivot_row], lu[col]
             perm[col], perm[pivot_row] = perm[pivot_row], perm[col]

@@ -81,7 +81,6 @@ def _positive_decimal(tol: str) -> bool:
 class TraceRow:
     index: int
     x: MPVector
-    step: Optional[MPVector]
     step_norm: object
     residual_norm: object
     error_vs_root: object
@@ -121,11 +120,12 @@ def resolve_tol(config: SolveConfig, ctx):
 def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     """Iterate from the problem's start point until a terminal status.
 
-    The trace records every iterate with its step, step norm, residual
-    norm, and (when roots are configured) the max-norm distance to the
-    nearest known root.  A step ends the run as converged when its norm is
-    at or below the tolerance, else as diverged when ``diverged`` holds for
-    the step norms of the rows so far.  An evaluation fault, any
+    The trace records every iterate with its step norm, residual norm, and
+    (when roots are configured) the max-norm distance to the nearest known
+    root; the step itself is ``rows[n].x.sub(rows[n - 1].x)``, the bits
+    whose norm the row stores.  A step ends the run as converged when its
+    norm is at or below the tolerance, else as diverged when ``diverged``
+    holds for the step norms of the rows so far.  An evaluation fault, any
     ``InvseriesError`` but a singular Jacobian (a domain error, a division by
     zero, too deep an expression), raises ``IterationError`` at its iteration.
     """
@@ -142,7 +142,7 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
         f_x = evaluate_system(problem, x)
     except InvseriesError as exc:
         raise IterationError(0, exc) from exc
-    rows = [TraceRow(0, x, None, None, norm_inf(f_x), _error_vs_root(problem, x))]
+    rows = [TraceRow(0, x, None, norm_inf(f_x), _error_vs_root(problem, x))]
     status = Status.MAX_ITERS
 
     for it in range(1, config.max_iters + 1):
@@ -155,10 +155,9 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
             break
         except InvseriesError as exc:
             raise IterationError(it, exc) from exc
-        step = new_x.sub(x)
-        snorm = norm_inf(step)
+        snorm = norm_inf(new_x.sub(x))
         error = _error_vs_root(problem, new_x)
-        rows.append(TraceRow(it, new_x, step, snorm, norm_inf(new_f), error))
+        rows.append(TraceRow(it, new_x, snorm, norm_inf(new_f), error))
         x, f_x = new_x, new_f
         if snorm <= tol:
             status = Status.CONVERGED

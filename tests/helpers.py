@@ -78,7 +78,8 @@ def reference_lu_invert(m: MPMatrix, ctx: Context) -> MPMatrix:
     n = m.rows
     lu = [list(row) for row in m.entries]
     perm = list(range(n))
-    floors = [ctx.tiny * max(abs(e) for e in row) for row in lu]
+    tiny = ctx.pow10(-((ctx.precision + 1) // 2))
+    floors = [tiny * max(abs(e) for e in row) for row in lu]
     for col in range(n):
         sizes = [abs(row[col]) for row in lu]
         pivot_row = max(range(col, n), key=lambda r: (sizes[r] > floors[r], sizes[r]))

@@ -22,17 +22,16 @@ from invseries.solver import IterationTrace, SolveConfig, Status, TraceRow, solv
 
 
 def fake_trace(problem, xs):
-    """Rows from a prescribed iterate sequence, with genuine steps/residuals."""
+    """Rows from a prescribed iterate sequence, with genuine step norms and
+    residuals."""
     rows = []
     prev = None
     for n, x in enumerate(xs):
-        step = None if prev is None else x.sub(prev)
         rows.append(
             TraceRow(
                 n,
                 x,
-                step,
-                None if step is None else norm_inf(step),
+                None if prev is None else norm_inf(x.sub(prev)),
                 norm_inf(evaluate_system(problem, x)),
                 None,
             )

@@ -332,7 +332,20 @@ def test_lu_invert_singular(ctx1000):
 def test_singular_message_names_the_floor_at_odd_precision():
     ctx = Context(101)
     m = MPMatrix([[ctx.one, ctx.one], [ctx.one, ctx.one]])
-    with pytest.raises(SingularMatrixError, match=re.escape("below 10^-50.5 of")):
+    with pytest.raises(SingularMatrixError, match=re.escape("below 10^-51 of")):
+        lu_invert(m, ctx)
+
+
+def test_the_pivot_floor_at_odd_precision_is_an_integer_power():
+    # at 101 digits the floor is 10^-51, not 10^-50.5: a pivot of 3e-51
+    # clears it, one of 5e-52 does not
+    ctx = Context(101)
+    one = ctx.one
+    m = MPMatrix([[one, one], [one, one + ctx.const("3e-51")]])
+    inv = lu_invert(m, ctx)
+    assert max_abs_diff(mat_mul(m, inv), identity(ctx, 2)) < ctx.pow10(-40)
+    m = MPMatrix([[one, one], [one, one + ctx.const("5e-52")]])
+    with pytest.raises(SingularMatrixError, match=re.escape("below 10^-51 of")):
         lu_invert(m, ctx)
 
 

@@ -1,11 +1,13 @@
 """Pinned bits: sha256 digests of every ``TraceRow`` of fixed solves.
 
 Each digest covers the exact ``_mpf_`` tuples of every iterate, step,
-step norm, residual norm and root distance, and the final status.  The
-digests were recorded from the schoolbook jet kernel, so a change that
-drops a nonzero term from a sum, or reorders one, fails here even when
-the iterates still agree to many digits.  ``AST_DIGESTS`` pins the trees
-these problems parse to.
+step norm, residual norm and root distance, and the final status.  A row
+holds no step, so the digest takes it from consecutive iterates,
+``rows[n].x.sub(rows[n - 1].x)``: the vector whose norm ``solve`` stores.
+The digests were recorded from the schoolbook jet kernel, so a change
+that drops a nonzero term from a sum, or reorders one, fails here even
+when the iterates still agree to many digits.  ``AST_DIGESTS`` pins the
+trees these problems parse to.
 """
 
 import hashlib
@@ -84,9 +86,12 @@ def _bits(value):
 
 def trace_digest(trace) -> str:
     h = hashlib.sha256(trace.status.value.encode())
+    prev = None
     for row in trace.rows:
-        fields = (row.x, row.step, row.step_norm, row.residual_norm, row.error_vs_root)
+        step = None if prev is None else row.x.sub(prev.x)
+        fields = (row.x, step, row.step_norm, row.residual_norm, row.error_vs_root)
         h.update(repr((row.index, *map(_bits, fields))).encode())
+        prev = row
     return h.hexdigest()
 
 
