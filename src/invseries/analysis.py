@@ -174,23 +174,24 @@ _STEP_DIGITS = 10
 
 
 def _cells(trace: IterationTrace, sig_digits: int):
-    has_root = trace.problem.known_roots != ()
+    roots = trace.problem.known_roots
     header = (
         ["iter"]
         + list(trace.problem.var_names)
         + ["step_norm", "residual_norm"]
-        + (["error_vs_root"] if has_root else [])
+        + (["error_vs_root"] if roots else [])
     )
     body = []
-    for row in trace.rows:
-        cells = [str(row.index)]
+    for n, row in enumerate(trace.rows):
+        cells = [str(n)]
         cells += [format_scalar(v, sig_digits, strip_zeros=True) for v in row.x]
         cells.append(
             "-" if row.step_norm is None else format_scalar(row.step_norm, _STEP_DIGITS)
         )
         cells.append(format_scalar(row.residual_norm, _STEP_DIGITS))
-        if has_root:
-            cells.append(format_scalar(row.error_vs_root, _STEP_DIGITS))
+        if roots:  # each row's own nearest root, not the estimators' one
+            error = min(norm_inf(row.x.sub(root)) for root in roots)
+            cells.append(format_scalar(error, _STEP_DIGITS))
         body.append(cells)
     return header, body
 

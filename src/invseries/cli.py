@@ -113,8 +113,10 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args, ctx)
     trace = solve(problem, config)
     print(render_table(trace, args.digits, args.format))
+    # json carries the status in its document; csv keeps stdout to its rows
     if args.format != "json":
-        print(f"status: {trace.status.value}")
+        status_out = sys.stderr if args.format == "csv" else sys.stdout
+        print(f"status: {trace.status.value}", file=status_out)
     return _STATUS_EXIT[trace.status]
 
 

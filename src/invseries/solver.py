@@ -79,27 +79,25 @@ def _positive_decimal(tol: str) -> bool:
 
 @dataclass(frozen=True)
 class TraceRow:
-    index: int
+    """One iterate ``x``, the max-norm ``step_norm`` of the step that reached
+    it (None at the start) and the max-norm ``residual_norm`` of f there."""
+
     x: MPVector
     step_norm: object
     residual_norm: object
-    error_vs_root: object
 
 
 @dataclass
 class IterationTrace:
+    """The ``problem`` solved, its ``rows`` from the start point on (row n
+    is iteration n) and the terminal ``status``."""
+
     problem: Problem
     rows: list
     status: Status
 
     def step_norms(self):
         return [row.step_norm for row in self.rows[1:]]
-
-
-def _error_vs_root(problem: Problem, x: MPVector):
-    if not problem.known_roots:
-        return None
-    return min(norm_inf(x.sub(root)) for root in problem.known_roots)
 
 
 def diverged(step_norms) -> bool:
@@ -120,10 +118,9 @@ def resolve_tol(config: SolveConfig, ctx):
 def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
     """Iterate from the problem's start point until a terminal status.
 
-    The trace records every iterate with its step norm, residual norm, and
-    (when roots are configured) the max-norm distance to the nearest known
-    root; the step itself is ``rows[n].x.sub(rows[n - 1].x)``, the bits
-    whose norm the row stores.  A step ends the run as converged when its
+    The trace records every iterate with its step norm and residual norm;
+    the step itself is ``rows[n].x.sub(rows[n - 1].x)``, the bits whose
+    norm the row stores.  A step ends the run as converged when its
     norm is at or below the tolerance, else as diverged when ``diverged``
     holds for the step norms of the rows so far.  An evaluation fault, any
     ``InvseriesError`` but a singular Jacobian (a domain error, a division by
@@ -142,7 +139,7 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
         f_x = evaluate_system(problem, x)
     except InvseriesError as exc:
         raise IterationError(0, exc) from exc
-    rows = [TraceRow(0, x, None, norm_inf(f_x), _error_vs_root(problem, x))]
+    rows = [TraceRow(x, None, norm_inf(f_x))]
     status = Status.MAX_ITERS
 
     for it in range(1, config.max_iters + 1):
@@ -156,8 +153,7 @@ def solve(problem: Problem, config: SolveConfig) -> IterationTrace:
         except InvseriesError as exc:
             raise IterationError(it, exc) from exc
         snorm = norm_inf(new_x.sub(x))
-        error = _error_vs_root(problem, new_x)
-        rows.append(TraceRow(it, new_x, snorm, norm_inf(new_f), error))
+        rows.append(TraceRow(new_x, snorm, norm_inf(new_f)))
         x, f_x = new_x, new_f
         if snorm <= tol:
             status = Status.CONVERGED

@@ -26,16 +26,9 @@ def fake_trace(problem, xs):
     residuals."""
     rows = []
     prev = None
-    for n, x in enumerate(xs):
-        rows.append(
-            TraceRow(
-                n,
-                x,
-                None if prev is None else norm_inf(x.sub(prev)),
-                norm_inf(evaluate_system(problem, x)),
-                None,
-            )
-        )
+    for x in xs:
+        step_norm = None if prev is None else norm_inf(x.sub(prev))
+        rows.append(TraceRow(x, step_norm, norm_inf(evaluate_system(problem, x))))
         prev = x
     return IterationTrace(problem, rows, Status.CONVERGED)
 

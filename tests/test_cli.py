@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,9 @@ import pytest
 import invseries
 from invseries import cli
 from invseries.cli import main
+from invseries.corpus import builtin_problem
+from invseries.numerics import Context
+from invseries.solver import SolveConfig, solve
 
 DIVERGENT = "vars: x\neq: 1/x - 0.5\nstart: 5\n"
 SINGULAR = "vars: x\neq: x^2\nstart: 0\n"
@@ -54,6 +59,25 @@ def test_solve_json_format(capsys):
     doc = json.loads(out)
     assert doc["status"] == "converged"
     assert doc["rows"][1]["x1"].startswith("1.685546875")
+
+
+def test_solve_csv_prints_only_its_rows_to_stdout(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        "solve", "--builtin", "scalar-square", "--order", "3",
+        "--precision", "300", "--format", "csv",
+    )
+    assert (code, err) == (0, "status: converged\n")
+    trace = solve(builtin_problem("scalar-square", Context(300)), SolveConfig(3, 300))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(trace.rows)
+    assert all(None not in row and None not in row.values() for row in rows)
+    # a problem without a root has no error column
+    f = tmp_path / "p.prob"
+    f.write_text("vars: x\neq: x^2 - 2\nstart: 1\n")
+    code, out, err = run(capsys, "solve", "--problem", str(f), "--format", "csv")
+    assert (code, err) == (0, "status: converged\n")
+    assert out.splitlines()[0] == "iter,x,step_norm,residual_norm"
 
 
 def test_solve_order_too_small_is_usage_error(capsys):

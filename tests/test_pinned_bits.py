@@ -2,8 +2,10 @@
 
 Each digest covers the exact ``_mpf_`` tuples of every iterate, step,
 step norm, residual norm and root distance, and the final status.  A row
-holds no step, so the digest takes it from consecutive iterates,
-``rows[n].x.sub(rows[n - 1].x)``: the vector whose norm ``solve`` stores.
+holds no step, number or root distance, so the digest derives them: the
+step from consecutive iterates, ``rows[n].x.sub(rows[n - 1].x)`` (the
+vector whose norm ``solve`` stores), n from the row's position, and the
+distance to the row's own nearest known root as the tables render it.
 The digests were recorded from the schoolbook jet kernel, so a change
 that drops a nonzero term from a sum, or reorders one, fails here even
 when the iterates still agree to many digits.  ``AST_DIGESTS`` pins the
@@ -16,7 +18,7 @@ import pytest
 
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
-from invseries.numerics import Context
+from invseries.numerics import Context, norm_inf
 from invseries.solver import SolveConfig, solve
 
 # the first system of perfbench's synthetic_system(random.Random(1)): eight
@@ -86,11 +88,13 @@ def _bits(value):
 
 def trace_digest(trace) -> str:
     h = hashlib.sha256(trace.status.value.encode())
+    roots = trace.problem.known_roots
     prev = None
-    for row in trace.rows:
+    for n, row in enumerate(trace.rows):
         step = None if prev is None else row.x.sub(prev.x)
-        fields = (row.x, step, row.step_norm, row.residual_norm, row.error_vs_root)
-        h.update(repr((row.index, *map(_bits, fields))).encode())
+        error = min(norm_inf(row.x.sub(root)) for root in roots) if roots else None
+        fields = (row.x, step, row.step_norm, row.residual_norm, error)
+        h.update(repr((n, *map(_bits, fields))).encode())
         prev = row
     return h.hexdigest()
 

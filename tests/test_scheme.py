@@ -454,7 +454,7 @@ def path_seeds(problem, p):
 @given(problem=node_kind_problems(), p=st.integers(2, 5))
 @example(problem=problem_from(AFFINE_SUMMANDS, CTX), p=5)
 @settings(max_examples=40)
-def test_sweeping_the_nonlinear_part_is_bitwise_the_full_sweep(problem, p):
+def test_eval_top_is_bitwise_the_full_sweep(problem, p):
     seeds = path_seeds(problem, p)
     for eq in problem.equations:
         full = eval_jet_at(eq, seeds, CTX).coeffs[(p,)]

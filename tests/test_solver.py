@@ -1,10 +1,14 @@
+import csv
+import io
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invseries import solver
+from invseries.analysis import render_table
 from invseries.corpus import builtin_problem
 from invseries.expr import parse_problem
 from invseries.errors import IterationError
@@ -123,9 +127,9 @@ def test_start_at_root_converges_immediately(ctx1000):
 
 def test_trace_consistency(two_var):
     trace = solve(two_var, SolveConfig(order=4, precision=1000))
+    assert trace.rows[0].step_norm is None
     for prev, row in zip(trace.rows, trace.rows[1:]):
         assert row.step_norm == norm_inf(row.x.sub(prev.x))
-    assert [row.index for row in trace.rows] == list(range(len(trace.rows)))
 
 
 def test_monotone_tail(two_var):
@@ -246,7 +250,7 @@ def test_converged_is_relative_to_a_tiny_root():
     root = p.known_roots[0][0]
     assert not (
         trace.status is Status.CONVERGED
-        and trace.rows[-1].error_vs_root > ctx.pow10(-950) * root
+        and norm_inf(trace.rows[-1].x.sub(p.known_roots[0])) > ctx.pow10(-950) * root
     )
 
 
@@ -317,12 +321,24 @@ def test_solve_stops_where_the_counters_stopped(ctx60, norms, tol):
     )
 
 
-def test_error_vs_root_uses_nearest(two_var):
-    trace = solve(two_var, SolveConfig(order=2, precision=1000))
-    row0 = trace.rows[0]
-    # start (4,4): distance 3 to (1,1), 5 to (-1,-1)
-    assert row0.error_vs_root == 3
-    assert trace.rows[-1].error_vs_root < trace.problem.context.pow10(-900)
+def test_error_vs_root_uses_nearest():
+    # from 0.1 the run converges to -1, but the start is nearest +1: each
+    # row's error_vs_root is its distance to its own nearest root
+    ctx = Context(60)
+    p = parse_problem("vars: x\neq: x^2 - 1\nstart: 0.1\nroot: 1\nroot: -1\n", ctx)
+    trace = solve(p, SolveConfig(order=3, precision=60))
+    assert trace.status is Status.CONVERGED and trace.rows[-1].x[0] == -1
+    rows = list(csv.DictReader(io.StringIO(render_table(trace, format="csv"))))
+    assert [row["iter"] for row in rows] == [str(n) for n in range(len(trace.rows))]
+    assert rows[0]["error_vs_root"] == "8.999999999e-1"
+    assert rows[1]["error_vs_root"] == "1.164624999e2"
+    assert rows[-1]["error_vs_root"] == "0"
+
+
+def test_solve_reads_no_known_root():
+    # known roots are input to analysis alone; the loop records only what
+    # it decides
+    assert "known_roots" not in Path(solver.__file__).read_text()
 
 
 def test_iterate_once_matches_first_row(two_var):
