@@ -175,12 +175,16 @@ _STEP_DIGITS = 10
 
 def _cells(trace: IterationTrace, sig_digits: int):
     roots = trace.problem.known_roots
+    names = trace.problem.var_names
     header = (
         ["iter"]
-        + list(trace.problem.var_names)
+        + list(names)
         + ["step_norm", "residual_norm"]
         + (["error_vs_root"] if roots else [])
     )
+    for name in names:  # a repeated column would lose cells in csv and json
+        if header.count(name) > 1:
+            raise ValueError(f"variable {name!r} has the name of a trace column")
     body = []
     for n, row in enumerate(trace.rows):
         cells = [str(n)]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 converged (or all order checks passed), 1 usage or input
 errors, 2 diverged or iteration cap reached, 3 singular Jacobian.
-``order-check`` exits 2 when a row FAILs or a solve did not converge, and
-1, before any solve, at 102 digits or fewer (an empty estimator window).
+``order-check`` exits 2 when a row FAILs or a solve that did not converge
+gave no estimate (a ``no-data`` row), and 1, before any solve, at 102
+digits or fewer (an empty estimator window).
 """
 
 from __future__ import annotations

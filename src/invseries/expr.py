@@ -56,67 +56,40 @@ RESERVED_FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
-class _Node:
-    """An AST node, never changed once built.  It equals a node of its own
-    class whose fields are equal, and its hash and repr are those of a
-    frozen dataclass with the fields in ``__slots__``."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+# Not frozen: a frozen dataclass's __init__ sets each field through
+# object.__setattr__, which slows the parser.  No node is changed once
+# built, so the field-tuple hash that unsafe_hash adds stays valid.
+_node = dataclass(slots=True, unsafe_hash=True)
 
 
-class Const(_Node):
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
+@_node
+class Const:
+    text: str
 
 
-class Var(_Node):
-    __slots__ = ("index", "name")
-
-    def __init__(self, index: int, name: str):
-        self.index = index
-        self.name = name
+@_node
+class Var:
+    index: int
+    name: str
 
 
-class BinOp(_Node):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Expr", right: "Expr"):
-        self.op = op  # one of + - * /
-        self.left = left
-        self.right = right
+@_node
+class BinOp:
+    op: str  # one of + - * /
+    left: Expr
+    right: Expr
 
 
-class Power(_Node):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: "Expr", exponent: int):
-        self.base = base
-        self.exponent = exponent
+@_node
+class Power:
+    base: Expr
+    exponent: int
 
 
-class Call(_Node):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: str, arg: "Expr"):
-        self.fn = fn
-        self.arg = arg
+@_node
+class Call:
+    fn: str
+    arg: Expr
 
 
 Expr = Union[Const, Var, BinOp, Power, Call]

@@ -292,6 +292,20 @@ def test_render_deterministic(two_var):
         assert render_table(t1, 50, fmt) == render_table(t2, 50, fmt)
 
 
+def test_error_vs_root_is_a_column_only_with_a_root():
+    """A variable may take the error column's name when there is no error
+    column; with a root it clashes like the other fixed columns."""
+    ctx = Context(30)
+    text = "vars: error_vs_root\neq: error_vs_root - 1\nstart: 2\n"
+    trace = solve(parse_problem(text, ctx), SolveConfig(order=2, precision=30))
+    assert render_table(trace, 10, "csv").splitlines()[0] == (
+        "iter,error_vs_root,step_norm,residual_norm"
+    )
+    rooted = IterationTrace(parse_problem(text + "root: 1\n", ctx), trace.rows, trace.status)
+    with pytest.raises(ValueError, match="variable 'error_vs_root'"):
+        render_table(rooted, 10, "csv")
+
+
 def test_render_rejects_unknown_format(two_var):
     trace = solve(two_var, SolveConfig(order=2, precision=1000))
     with pytest.raises(ValueError):

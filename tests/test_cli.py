@@ -80,6 +80,23 @@ def test_solve_csv_prints_only_its_rows_to_stdout(capsys, tmp_path):
     assert out.splitlines()[0] == "iter,x,step_norm,residual_norm"
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_solve_refuses_a_variable_named_like_a_trace_column(capsys, tmp_path, fmt):
+    """Two columns of one name would lose cells in a json row object and a
+    ``csv.DictReader`` row, so no format prints such a table."""
+    f = tmp_path / "clash.prob"
+    f.write_text(
+        "vars: iter step_norm\neq: iter - 1\neq: step_norm^2 - 4\n"
+        "start: 3 3\nroot: 1 2\n"
+    )
+    code, out, err = run(
+        capsys, "solve", "--problem", str(f), "--order", "2",
+        "--precision", "30", "--format", fmt,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: variable 'iter' has the name of a trace column\n"
+
+
 def test_solve_order_too_small_is_usage_error(capsys):
     code, out, err = run(capsys, "solve", "--builtin", "incas-2var", "--order", "1")
     assert code == 1

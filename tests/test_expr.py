@@ -385,7 +385,7 @@ TOP_SEEDS = [
         ("x1^2 + x2^2 - 2", "x1^2 + x2^2"),
     ],
 )
-def test_nonlinear_part_drops_affine_summands(monkeypatch, text, expected):
+def test_eval_top_drops_affine_summands(monkeypatch, text, expected):
     """``eval_top`` is bit for bit the top coefficient of the full sweep and
     of the sweep of ``expected``, the expression without its affine
     summands; an affine expression is an exact 0, and no jet is built for
@@ -469,6 +469,23 @@ def test_nodes_are_equal_by_class_and_fields():
     assert Var(0, "x1") != Call(0, "x1")
     assert Power(A, 2) != Call(A, 2)
     assert Const("2") != "2" and Const("2") != ("2",)
+
+
+@pytest.mark.parametrize(
+    "node, fields",
+    [
+        (Const("2"), ("text",)),
+        (Var(0, "x1"), ("index", "name")),
+        (BinOp("+", A, B), ("op", "left", "right")),
+        (Power(A, 2), ("base", "exponent")),
+        (Call("sin", A), ("fn", "arg")),
+    ],
+)
+def test_nodes_are_slotted(node, fields):
+    """A node keeps its fields in slots, in order, and has no ``__dict__``:
+    trees are built once per equation and walked by every evaluator."""
+    assert type(node).__slots__ == fields
+    assert not hasattr(node, "__dict__")
 
 
 def test_node_repr_is_the_dataclass_text():
