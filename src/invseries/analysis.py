@@ -173,18 +173,19 @@ SOLUTION_DIGITS = 50
 _STEP_DIGITS = 10
 
 
-def _cells(trace: IterationTrace, sig_digits: int):
-    roots = trace.problem.known_roots
-    names = trace.problem.var_names
-    header = (
-        ["iter"]
-        + list(names)
-        + ["step_norm", "residual_norm"]
-        + (["error_vs_root"] if roots else [])
-    )
+def trace_columns(problem) -> list:
+    """A trace table's header; ValueError if a variable repeats a column's name."""
+    names = problem.var_names
+    header = ["iter", *names, "step_norm", "residual_norm"]
+    header += ["error_vs_root"] if problem.known_roots else []
     for name in names:  # a repeated column would lose cells in csv and json
         if header.count(name) > 1:
             raise ValueError(f"variable {name!r} has the name of a trace column")
+    return header
+
+
+def _cells(trace: IterationTrace, sig_digits: int):
+    header, roots = trace_columns(trace.problem), trace.problem.known_roots
     body = []
     for n, row in enumerate(trace.rows):
         cells = [str(n)]

@@ -4,7 +4,9 @@ Exit codes: 0 converged (or all order checks passed), 1 usage or input
 errors, 2 diverged or iteration cap reached, 3 singular Jacobian.
 ``order-check`` exits 2 when a row FAILs or a solve that did not converge
 gave no estimate (a ``no-data`` row), and 1, before any solve, at 102
-digits or fewer (an empty estimator window).
+digits or fewer (an empty estimator window).  ``solve`` exits 1 before
+it solves on a bad ``--digits``, order, precision or ``--tol``, and on a
+variable named like a trace column (``analysis.trace_columns``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .analysis import (
     estimator_window,
     markdown_table,
     render_table,
+    trace_columns,
 )
 from .corpus import BUILTIN_NAMES, builtin_problem
 from .errors import InsufficientDataError, InvseriesError
@@ -112,6 +115,7 @@ def cmd_solve(args) -> int:
     config = _config(args, args.order)
     ctx = Context(args.precision)
     problem = _load_problem(args, ctx)
+    trace_columns(problem)  # a table that cannot be printed fails before the solve
     trace = solve(problem, config)
     print(render_table(trace, args.digits, args.format))
     # json carries the status in its document; csv keeps stdout to its rows

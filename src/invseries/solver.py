@@ -18,9 +18,9 @@ from .errors import InvseriesError, IterationError, MalformedDecimalError, Singu
 from .expr import Problem
 from .numerics import (
     DEFAULT_PRECISION,
+    Context,
     MPVector,
     check_precision,
-    decimal_mpf,
     is_int,
     norm_inf,
 )
@@ -44,8 +44,9 @@ class SolveConfig:
 
     ``order`` must be an int in 2..``MAX_ORDER``, ``precision`` one that
     ``Context`` accepts and ``max_iters`` an int >= 1 (``is_int``: a bool
-    is none of them).  ``tol``, positive decimal text parsed by
-    ``Context.const`` (so "1e-900" stays positive), stops the
+    is none of them).  ``tol`` is decimal text that ``Context.const`` at
+    ``precision``, the one parser of this check and of the solve, reads as
+    positive (so "1e-900" is and "abc" is not).  It stops the
     iteration once the step max-norm falls to or below it; None selects
     10^-(precision - min(50, precision // 2)), so the default never exceeds
     10^-(precision // 2).  Divergence is declared once ``DIVERGENCE_WINDOW``
@@ -64,17 +65,13 @@ class SolveConfig:
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         if self.tol is not None and not isinstance(self.tol, str):
             raise ValueError(f"tol must be decimal text, got {self.tol!r}")
-        if self.tol is not None and not _positive_decimal(self.tol):
-            raise ValueError(f"tol must be a finite positive number, got {self.tol}")
-
-
-def _positive_decimal(tol: str) -> bool:
-    try:
-        # a decimal is finite, and its sign and zeroness hold at any precision
-        sign, man, _, _ = decimal_mpf(tol, 53)
-    except MalformedDecimalError:
-        return False
-    return not sign and man != 0
+        if self.tol is not None:
+            try:
+                positive = Context(self.precision).const(self.tol) > 0
+            except MalformedDecimalError:  # not a number, so not a positive one
+                positive = False
+            if not positive:
+                raise ValueError(f"tol must be a finite positive number, got {self.tol}")
 
 
 @dataclass(frozen=True)

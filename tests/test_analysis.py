@@ -13,6 +13,7 @@ from invseries.analysis import (
     estimate_order_successive,
     markdown_table,
     render_table,
+    trace_columns,
 )
 from invseries.errors import NESTS_TOO_DEEPLY, InsufficientDataError, InvseriesError
 from invseries.expr import parse_problem
@@ -301,9 +302,14 @@ def test_error_vs_root_is_a_column_only_with_a_root():
     assert render_table(trace, 10, "csv").splitlines()[0] == (
         "iter,error_vs_root,step_norm,residual_norm"
     )
+    assert trace_columns(trace.problem) == [
+        "iter", "error_vs_root", "step_norm", "residual_norm"
+    ]
     rooted = IterationTrace(parse_problem(text + "root: 1\n", ctx), trace.rows, trace.status)
     with pytest.raises(ValueError, match="variable 'error_vs_root'"):
         render_table(rooted, 10, "csv")
+    with pytest.raises(ValueError, match="variable 'error_vs_root'"):
+        trace_columns(rooted.problem)
 
 
 def test_render_rejects_unknown_format(two_var):

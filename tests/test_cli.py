@@ -81,9 +81,17 @@ def test_solve_csv_prints_only_its_rows_to_stdout(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
-def test_solve_refuses_a_variable_named_like_a_trace_column(capsys, tmp_path, fmt):
+def test_solve_refuses_a_variable_named_like_a_trace_column(
+    capsys, monkeypatch, tmp_path, fmt
+):
     """Two columns of one name would lose cells in a json row object and a
-    ``csv.DictReader`` row, so no format prints such a table."""
+    ``csv.DictReader`` row, so no format prints such a table, and no solve
+    runs for it."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the trace columns were checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
     f = tmp_path / "clash.prob"
     f.write_text(
         "vars: iter step_norm\neq: iter - 1\neq: step_norm^2 - 4\n"

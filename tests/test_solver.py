@@ -43,6 +43,18 @@ def test_text_tol_goes_through_the_decimal_parser():
             SolveConfig(order=2, tol=bad)
 
 
+@pytest.mark.parametrize("bad", ["abc", "-0", "-1e-5", "0e7"])
+def test_tol_that_is_not_a_positive_decimal_is_refused(bad):
+    with pytest.raises(ValueError, match=f"tol must be a finite positive number, got {bad}"):
+        SolveConfig(2, 16, tol=bad)
+
+
+@pytest.mark.parametrize("good", ["1e-900", " 2e-3 ", "7" * 5001])
+def test_tol_that_is_a_positive_decimal_is_accepted(good):
+    # 5,001 digits is past int(str)'s default limit of 4,300
+    assert SolveConfig(2, 16, tol=good).tol == good
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
